@@ -15,22 +15,17 @@
 // Standard output: a human-readable report, then one JSON line. All
 // files go under DIR/.bench_build/work and are removed at exit.
 
-#include <pthread.h>
-#include <sched.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/socket_client.h"
@@ -51,18 +46,6 @@ using Clock = std::chrono::steady_clock;
 
 /// Setups per untraced run; setup_s is their median.
 constexpr int kSetups = 5;
-
-/// Each timed run is cut into up to this many equal segments; every
-/// latency quantile and the throughput are taken per segment, and the
-/// median over the half of the segments in which the hypervisor stole
-/// the least CPU time is reported. Other tenants of the host moved every
-/// latency here by up to 3x with the stolen share (5-31% of a run), so a
-/// whole-run figure measured the neighbours. A latency family gets fewer
-/// segments when it has fewer than kMinSegmentSamples samples per
-/// segment, so that each segment's p99 still has several samples beyond
-/// it.
-constexpr int kSegments = 10;
-constexpr size_t kMinSegmentSamples = 500;
 
 struct Args {
   std::string root = ".";
@@ -192,177 +175,90 @@ taco::Status CheckFinalValues(
   return taco::Status::OK();
 }
 
-/// CPU ticks stolen by the hypervisor and in total, from /proc/stat.
-std::pair<uint64_t, uint64_t> HostTicks() {
-  std::ifstream stat("/proc/stat");
-  std::string cpu;
-  uint64_t total = 0, steal = 0, value = 0;
-  stat >> cpu;
-  for (int field = 0; field < 8 && stat >> value; ++field) {
-    total += value;
-    if (field == 7) steal = value;
-  }
-  return {steal, total};
-}
-
-/// Samples the host's stolen CPU time every 50 ms on its own thread, from
-/// construction until Stop.
-class StealMonitor {
- public:
-  StealMonitor() : start_(Clock::now()), thread_([this] { Run(); }) {}
-  ~StealMonitor() { Stop(); }
-  StealMonitor(const StealMonitor&) = delete;
-  StealMonitor& operator=(const StealMonitor&) = delete;
-
-  void Stop() {
-    stop_.store(true);
-    if (thread_.joinable()) thread_.join();
-  }
-
-  /// The share of CPU time stolen between `from` and `to` seconds after
-  /// construction (whole samples around that window).
-  double StolenShare(double from, double to) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Tick* first = nullptr;
-    const Tick* last = nullptr;
-    for (const Tick& t : ticks_) {
-      if (t.at <= from || first == nullptr) first = &t;
-      if (last == nullptr && t.at >= to) last = &t;
-    }
-    if (last == nullptr && !ticks_.empty()) last = &ticks_.back();
-    if (first == nullptr || last->total <= first->total) return 0;
-    return double(last->steal - first->steal) /
-           double(last->total - first->total);
-  }
-
- private:
-  struct Tick {
-    double at = 0;
-    uint64_t steal = 0;
-    uint64_t total = 0;
-  };
-
-  void Run() {
-    for (bool last = false; !last;) {
-      last = stop_.load();
-      auto [steal, total] = HostTicks();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ticks_.push_back(
-            {std::chrono::duration<double>(Clock::now() - start_).count(),
-             steal, total});
-      }
-      if (!last) std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-
-  const Clock::time_point start_;
-  std::atomic<bool> stop_{false};
-  mutable std::mutex mu_;
-  std::vector<Tick> ticks_;
-  std::thread thread_;  ///< Last: it reads the members above.
+/// CPU ticks stolen by the hypervisor and in total, from /proc/stat: a
+/// report line, so that a run on a busy host can be told apart.
+struct HostTicks {
+  uint64_t steal = 0;
+  uint64_t total = 0;
 };
 
-/// The end-to-end metrics of one timed run. Each latency family and the
-/// throughput are measured per segment; the segments are ranked by the
-/// CPU time the hypervisor stole during them, and the reported value is
-/// the median over the calmer half.
-MetricSet EndToEnd(const perfbench::RunResult& run, const StealMonitor& host,
-                   double setup_s, double peak_rss_mb, bool* complete) {
+HostTicks ReadHostTicks() {
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  HostTicks ticks;
+  uint64_t value = 0;
+  stat >> cpu;
+  for (int field = 0; field < 8 && stat >> value; ++field) {
+    ticks.total += value;
+    if (field == 7) ticks.steal = value;
+  }
+  return ticks;
+}
+
+/// Whether a sample is a single-cell edit (SET, FORMULA) or a request
+/// that changes nothing (GET, GETRANGE, EXPLAIN): the two latency
+/// families every workload sends.
+bool IsCellEdit(const perfbench::Sample& s) {
+  return s.verb == "SET" || s.verb == "FORMULA";
+}
+bool IsLookup(const perfbench::Sample& s) {
+  return s.verb == "GET" || s.verb == "GETRANGE" || s.verb == "EXPLAIN";
+}
+
+/// Adds `<name>_p<q>_ms` for each percentile q over the samples `keep`
+/// selects, pooled over the whole timed run; false when there are none.
+template <typename Keep>
+bool AddLatency(const perfbench::RunResult& run, const std::string& name,
+                std::initializer_list<int> percentiles, Keep keep,
+                MetricSet* set) {
+  std::vector<double> ms;
+  for (const perfbench::Sample& s : run.samples) {
+    if (keep(s)) ms.push_back(s.ms);
+  }
+  if (ms.empty()) return false;
+  for (int q : percentiles) {
+    set->Add(name + "_p" + std::to_string(q) + "_ms",
+             perfbench::Quantile(ms, q / 100.0), "ms", ms.size());
+  }
+  return true;
+}
+
+/// The end-to-end metrics of one timed run: the set BENCHMARK.json gates
+/// (returned), and the latencies of every family the workload sends
+/// with the throughput (`reported`, printed only). Lookups, the p99 of
+/// single-cell edits and the throughput moved with the hypervisor's
+/// share of the host by up to a quarter between runs, against a largest
+/// bound of a quarter; the gated figures moved by under a sixth.
+MetricSet EndToEnd(const perfbench::RunResult& run, double setup_s,
+                   double server_cpu_s, double peak_rss_mb,
+                   MetricSet* reported, bool* complete) {
   MetricSet set;
   set.Add("setup_s", setup_s, "s", kSetups);
-  const std::pair<perfbench::OpClass, const char*> families[] = {
+  *complete = AddLatency(run, "cell_edit", {50}, IsCellEdit, &set);
+  set.Add("server_cpu_ms_per_op",
+          1e3 * server_cpu_s / double(run.samples.size()), "ms",
+          run.samples.size());
+  set.Add("peak_rss_mb", peak_rss_mb, "MiB");
+  const std::pair<perfbench::OpClass, const char*> classes[] = {
       {perfbench::OpClass::kEdit, "edit"},
       {perfbench::OpClass::kStruct, "struct_edit"},
       {perfbench::OpClass::kQuery, "query"},
       {perfbench::OpClass::kRead, "read"}};
-  // Segments in which a sample falls, when the run is cut into `count`.
-  auto segment_of = [&](const perfbench::Sample& s, int count) {
-    return std::min(count - 1,
-                    static_cast<int>(s.at_s * count / run.seconds));
-  };
-  // The calmer half of `count` segments, by stolen CPU time.
-  auto calm_segments = [&](int count) {
-    std::vector<std::pair<double, int>> ranked;
-    for (int i = 0; i < count; ++i) {
-      ranked.push_back({host.StolenShare(run.seconds * i / count,
-                                         run.seconds * (i + 1) / count),
-                        i});
-    }
-    std::sort(ranked.begin(), ranked.end());
-    std::vector<int> calm;
-    for (int i = 0; i < (count + 1) / 2; ++i) calm.push_back(ranked[i].second);
-    return calm;
-  };
-  for (const auto& [cls, name] : families) {
-    size_t count = 0;
-    for (const perfbench::Sample& s : run.samples) count += s.cls == cls;
-    if (count == 0) *complete = false;
-    // As many segments as keep kMinSegmentSamples in each, at most
-    // kSegments: a rare family's p99 comes from the whole run.
-    const int segments = static_cast<int>(std::clamp<size_t>(
-        count / kMinSegmentSamples, 1, kSegments));
-    std::vector<std::vector<double>> ms(segments);
-    for (const perfbench::Sample& s : run.samples) {
-      if (s.cls == cls) ms[segment_of(s, segments)].push_back(s.ms);
-    }
-    std::vector<double> p50, p99;
-    for (int i : calm_segments(segments)) {
-      if (ms[i].empty()) continue;
-      p50.push_back(perfbench::Quantile(ms[i], 0.5));
-      p99.push_back(perfbench::Quantile(ms[i], 0.99));
-    }
-    set.Add(std::string(name) + "_p50_ms", perfbench::Quantile(p50, 0.5),
-            "ms", count);
-    set.Add(std::string(name) + "_p99_ms", perfbench::Quantile(p99, 0.5),
-            "ms", count);
+  for (const auto& [cls, name] : classes) {
+    AddLatency(run, name, {50, 99},
+               [cls](const perfbench::Sample& s) { return s.cls == cls; },
+               reported);
   }
-  std::vector<double> counts(kSegments, 0), rates;
-  for (const perfbench::Sample& s : run.samples) {
-    ++counts[segment_of(s, kSegments)];
-  }
-  for (int i : calm_segments(kSegments)) {
-    rates.push_back(counts[i] * kSegments / run.seconds);
-  }
-  set.Add("ops_per_s", perfbench::Quantile(rates, 0.5), "1/s",
-          run.attempted);
-  set.Add("peak_rss_mb", peak_rss_mb, "MiB");
+  AddLatency(run, "cell_edit", {50, 99}, IsCellEdit, reported);
+  AddLatency(run, "lookup", {50, 90, 99}, IsLookup, reported);
+  reported->Add("ops_per_s", run.samples.size() / run.seconds, "1/s",
+                run.samples.size());
+  reported->Add("failed_op_frac",
+                run.attempted ? double(run.failed) / double(run.attempted)
+                              : 0.0,
+                "ratio", run.attempted);
   return set;
 }
-
-/// Keeps every CPU busy with SCHED_IDLE spin threads for its lifetime.
-/// On a shared VM a vCPU that halts when idle must wait for the
-/// hypervisor to run it again when a request wakes it; with other
-/// tenants busy that wait swung every latency here by a third from run
-/// to run. Any runnable thread of the server or the client preempts a
-/// SCHED_IDLE spinner at once, so the spinners take no time from them.
-class KeepCpusAwake {
- public:
-  KeepCpusAwake() {
-    unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-    for (unsigned i = 0; i < cpus; ++i) {
-      threads_.emplace_back([this] {
-        sched_param param{};
-        pthread_setschedparam(pthread_self(), SCHED_IDLE, &param);
-        while (!stop_.load(std::memory_order_relaxed)) {
-#if defined(__x86_64__) || defined(__i386__)
-          __builtin_ia32_pause();
-#endif
-        }
-      });
-    }
-  }
-  ~KeepCpusAwake() {
-    stop_.store(true);
-    for (std::thread& t : threads_) t.join();
-  }
-  KeepCpusAwake(const KeepCpusAwake&) = delete;
-  KeepCpusAwake& operator=(const KeepCpusAwake&) = delete;
-
- private:
-  std::atomic<bool> stop_{false};
-  std::vector<std::thread> threads_;
-};
 
 /// Progress lines on stderr, stamped with seconds since start.
 void Progress(const std::string& what) {
@@ -404,25 +300,26 @@ int main(int argc, char** argv) {
     }
   } cleanup{work};
   const std::string log = work + "/server.log";
-  KeepCpusAwake awake;
 
   // Generated sizes: a generator change shows here before it shows in
   // any timing.
   auto snapshot_bytes = perfbench::WriteSnapshots(*workload, work + "/gen");
   if (!snapshot_bytes.ok()) return Fail(snapshot_bytes.status().ToString());
-  uint64_t cells = 0, formulas = 0, deps = 0;
+  uint64_t cells = 0, formulas = 0, runs = 0, deps = 0;
   for (const perfbench::Book& book : workload->books) {
     cells += book.sheet.cell_count();
     formulas += book.sheet.formula_cell_count();
+    runs += book.runs.size();
     deps += book.raw_dependencies;
   }
   std::printf(
-      "workload %s seed %llu: %zu workbooks, %llu cells, %llu formulas, "
-      "%llu raw dependencies, %llu snapshot bytes; %d connections; "
-      "server flags:",
+      "workload %s seed %llu: %zu workbooks, %llu cells, %llu formulas in "
+      "%llu runs, %llu raw dependencies, %llu snapshot bytes; "
+      "%d connections; server flags:",
       args.workload.c_str(), static_cast<unsigned long long>(args.seed),
       workload->books.size(), static_cast<unsigned long long>(cells),
       static_cast<unsigned long long>(formulas),
+      static_cast<unsigned long long>(runs),
       static_cast<unsigned long long>(deps),
       static_cast<unsigned long long>(*snapshot_bytes),
       workload->connections());
@@ -450,14 +347,19 @@ int main(int argc, char** argv) {
   const double setup_s = perfbench::Quantile(setup_times, 0.5);
   Progress("set-up done; timed run");
 
-  StealMonitor host;
+  const HostTicks host_before = ReadHostTicks();
+  const double cpu_before = deployment.server->CpuSeconds();
   perfbench::RunResult run = perfbench::RunClosedLoop(
       *workload, deployment.server->port(), args.seconds, args.seed, false);
-  host.Stop();
+  const double server_cpu_s = deployment.server->CpuSeconds() - cpu_before;
+  const HostTicks host_after = ReadHostTicks();
   const double peak_rss_mb = deployment.server->PeakRssMb();
-  std::printf("host: %.1f%% of CPU time stolen by the hypervisor during "
-              "the timed run\n",
-              100 * host.StolenShare(0, run.seconds));
+  std::printf("host: %.1f%% of CPU time stolen by the hypervisor during the "
+              "timed run\n",
+              host_after.total > host_before.total
+                  ? 100.0 * double(host_after.steal - host_before.steal) /
+                        double(host_after.total - host_before.total)
+                  : 0.0);
   for (const std::string& e : run.errors) {
     std::printf("op failed: %s\n", e.c_str());
   }
@@ -508,7 +410,9 @@ int main(int argc, char** argv) {
   }
 
   bool complete = true;
-  MetricSet e2e = EndToEnd(run, host, setup_s, peak_rss_mb, &complete);
+  MetricSet reported;
+  MetricSet e2e = EndToEnd(run, setup_s, server_cpu_s, peak_rss_mb,
+                           &reported, &complete);
   std::printf(
       "oracle: %llu ops and %llu cell values checked, %llu mismatches; "
       "corruption self-test %s\n",
@@ -519,10 +423,6 @@ int main(int argc, char** argv) {
   for (const std::string& m : oracle_report.examples) {
     std::printf("  mismatch: %s\n", m.c_str());
   }
-  std::printf("failed_op_frac %.6f (%llu of %llu ops)\n",
-              run.attempted ? double(run.failed) / double(run.attempted) : 0.0,
-              static_cast<unsigned long long>(run.failed),
-              static_cast<unsigned long long>(run.attempted));
   std::map<std::string, std::vector<double>> by_verb;
   for (const perfbench::Sample& s : run.samples) by_verb[s.verb].push_back(s.ms);
   std::printf("client round trip by verb (ms):\n");
@@ -531,12 +431,16 @@ int main(int argc, char** argv) {
                 verb.c_str(), ms.size(), perfbench::Quantile(ms, 0.5),
                 perfbench::Quantile(ms, 0.99), perfbench::Quantile(ms, 1));
   }
-  PrintMetrics("end-to-end (untraced run):", e2e);
+  PrintMetrics("reported, not gated (untraced run):", reported);
+  PrintMetrics("end-to-end, gated (untraced run):", e2e);
   if (!complete) {
     taco::Status stopped = deployment.server->Stop();
-    return Fail("a latency family got no samples; run longer");
+    return Fail("no single-cell edit was answered; run longer");
   }
-  const bool correct = oracle_report.ok() && self_test_ok;
+  // A refused or lost op is a wrong answer: the oracle skips it, and
+  // dropping expensive ops would flatter every latency.
+  const bool correct =
+      oracle_report.ok() && self_test_ok && run.failed == 0;
 
   if (args.trace == 0) {
     taco::Status stopped = deployment.server->Stop();

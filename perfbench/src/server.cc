@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <thread>
 
 namespace perfbench {
@@ -156,6 +158,24 @@ double ServerProcess::PeakRssMb() const {
     }
   }
   return -1;
+}
+
+double ServerProcess::CpuSeconds() const {
+  if (pid_ <= 0) return -1;
+  std::ifstream stat("/proc/" + std::to_string(pid_) + "/stat");
+  std::string text((std::istreambuf_iterator<char>(stat)),
+                   std::istreambuf_iterator<char>());
+  // Fields after the parenthesised command name, which may hold spaces:
+  // utime and stime are the 14th and 15th fields of the line.
+  size_t close = text.rfind(')');
+  if (close == std::string::npos) return -1;
+  std::istringstream fields(text.substr(close + 2));
+  std::string field;
+  for (int i = 3; i <= 13 && fields >> field; ++i) {
+  }
+  uint64_t utime = 0, stime = 0;
+  if (!(fields >> utime >> stime)) return -1;
+  return double(utime + stime) / double(::sysconf(_SC_CLK_TCK));
 }
 
 }  // namespace perfbench

@@ -40,6 +40,10 @@ class ServerProcess {
   /// The process's peak resident set (VmHWM) in MiB; -1 when unreadable.
   double PeakRssMb() const;
 
+  /// CPU time the process has used so far (user + system), in seconds;
+  /// -1 when unreadable.
+  double CpuSeconds() const;
+
  private:
   ServerProcess(pid_t pid, uint16_t port) : pid_(pid), port_(port) {}
 

@@ -3,14 +3,16 @@
 // Part (a) comes from the server itself: the socket run is repeated
 // while TRACE is polled (phase spans per mutating op, by rid), and STATS
 // and METRICS are scraped at its end. Part (b) replays the untraced
-// run's op stream in-process, twice: once through a real
-// WorkbookService + CommandProcessor (the per-verb Execute time), and
-// once through WorkbookSessions built from their public constructors
-// around bench-owned wrappers of the DependencyGraph, RecalcExecutor
-// and StorageEngine interfaces plus a GroupCommitter observer. The
-// wrappers record spans (name, start, end, parent, rid) in memory; the
-// spans are written to a file at exit and folded into per-layer self
-// times, which the attribution check holds against Execute.
+// run's op stream in-process, op by op through three stacks: a real
+// WorkbookService + CommandProcessor (the per-verb Execute time);
+// WorkbookSessions built from their public constructors around
+// bench-owned wrappers of the DependencyGraph, RecalcExecutor and
+// StorageEngine interfaces plus a GroupCommitter observer; and a
+// bench-owned shadow RecalcEngine per book, which times the eval
+// layer's own work on each mutation. The wrappers record spans (name,
+// start, end, parent, rid) in memory; the spans are written to a file
+// at exit and folded into per-layer self times, whose sum the
+// attribution check holds against Execute.
 
 #ifndef PERFBENCH_TRACE_REPLAY_H_
 #define PERFBENCH_TRACE_REPLAY_H_
@@ -46,11 +48,13 @@ void AddServerLayerMetrics(const Workload& workload,
                            const TracedServerRun& traced,
                            uint64_t recovered_records, MetricSet* out);
 
-/// For each verb, the median op's layer self times in the wrapped replay
-/// must add up to the median op's real in-process Execute time within
-/// kTolerance of it, or within kFloorNs for verbs that take a few
-/// microseconds (below one loopback round trip, where cache warmth
-/// decides the difference); and no layer's children may outlast it.
+/// For each verb, an op's unattributed time is its real in-process
+/// Execute time minus the sum of its measured layer self times
+/// (protocol, service, formula, taco, sched, eval, store). Its median
+/// share of the op's Execute must be within kTolerance, or its median
+/// within kFloorNs for verbs that take a few microseconds (below one
+/// loopback round trip, where cache warmth decides the difference); and
+/// no layer's children may outlast it.
 struct AttributionCheck {
   static constexpr double kTolerance = 0.25;
   static constexpr double kFloorNs = 20000;

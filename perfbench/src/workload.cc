@@ -22,9 +22,9 @@ constexpr uint64_t kMaxReadCells = 65536;
 /// cells each.
 constexpr double kMaxMirrorRefCells = 16;
 
-/// Short-op rounds (2 EXPLAINs, a re-entry pair, a SET and its GET) per
-/// autofill pair in the structure workload.
-constexpr int kStructureRounds = 16;
+/// Formula re-entries target this many cells per formula run, one in
+/// each of as many equal slices of the run.
+constexpr int32_t kReentryTargetsPerRun = 4;
 
 }  // namespace
 
@@ -241,52 +241,44 @@ void OpStream::Refill() {
 }
 
 void OpStream::RecalcInteraction() {
-  // A user edits a value and looks at the viewport around it. Every
-  // second edit is first previewed with EXPLAIN, and every fourth
-  // interaction re-enters a formula and restores it, so each latency
-  // family gets enough samples for its p99.
+  // A user edits a value and looks at the viewport around it.
   const std::vector<int>& own = workload_.writers[connection_];
   int book = own[interactions_ % own.size()];
   Cell cell = PickSetTarget(book);
-  if (interactions_ % 2 == 1) PushExplain(book, cell);
   PushSet(book, cell);
   PushViewport(book, cell);
-  if (interactions_ % 4 == 3) PushReenterPair(book);
 }
 
 void OpStream::StructureInteraction() {
-  // Graph maintenance and dependents queries: an autofill of a mirrored
-  // region and its removal, then formula re-entries and EXPLAINs at data
-  // cells and anchors, with a few value edits and their read-backs. The
-  // autofill dominates the time; the short ops are many enough for a p99.
+  // Two users, one per connection. The first autofills mirrored regions
+  // and removes them again; the second re-enters formulas and restores
+  // them, and asks for the dependents of data cells and anchors. Each
+  // sends its next op as soon as the last is answered, so the server's
+  // speed, not a chosen ratio, sets how the two kinds of work mix.
   const std::vector<int>& own = workload_.writers[connection_];
   int book = own[interactions_ % own.size()];
-  const Book& b = workload_.books[book];
-  PushAutofillPair(book);
-  for (int i = 0; i < kStructureRounds; ++i) {
-    PushExplain(book, PickDataCell(book));
-    PushReenterPair(book);
-    PushExplain(book, b.anchors.empty()
-                          ? PickDataCell(book)
-                          : b.anchors[i % b.anchors.size()]);
-    Cell cell = PickDataCell(book);
-    PushSet(book, cell);
-    PushGet(book, cell);
+  if (connection_ == 0) {
+    PushAutofillPair(book);
+    return;
   }
+  const Book& b = workload_.books[book];
+  PushExplain(book, PickDataCell(book));
+  PushReenterPair(book);
+  PushExplain(book, b.anchors.empty()
+                        ? PickDataCell(book)
+                        : b.anchors[interactions_ / own.size() %
+                                    b.anchors.size()]);
 }
 
 void OpStream::DurableWriterInteraction() {
   // Small durable edits over the connection's eight sessions: single
-  // SETs, a fifth of them small BATCHes; every second edit is previewed
-  // with EXPLAIN and every fourth is followed by a formula re-entry pair.
+  // SETs, a fifth of them small BATCHes.
   int book = PickOwnBook();
-  if (interactions_ % 2 == 1) PushExplain(book, PickDataCell(book));
   if (std::uniform_int_distribution<int>(0, 4)(rng_) == 0) {
     PushValueBatch(book, std::uniform_int_distribution<int>(2, 8)(rng_));
   } else {
     PushSet(book, PickDataCell(book));
   }
-  if (interactions_ % 4 == 3) PushReenterPair(book);
 }
 
 void OpStream::ReaderInteraction() {
@@ -341,12 +333,31 @@ void OpStream::PushExplain(int book, const Cell& cell) {
 void OpStream::PushReenterPair(int book) {
   // Replace one mid-run formula with a different one that also reads a
   // data cell — which fragments the run's compressed edge — then restore
-  // the original text.
+  // the original text. The targets are a fixed set of cells per book,
+  // re-entered in turn: a seeded row in each quarter of every formula
+  // run. The graph does not re-merge a restored formula into its run's
+  // edge, so fresh targets would leave it more fragmented, and every op
+  // slower, the longer a run lasts; and a row from every part of every
+  // run keeps the mix of cheap and costly targets (a running total's
+  // head or tail) alike across seeds.
   const Book& b = workload_.books[book];
-  const FormulaRun& run = b.runs[std::uniform_int_distribution<size_t>(
-      0, b.runs.size() - 1)(rng_)];
-  Cell cell{run.col, std::uniform_int_distribution<int32_t>(
-                         run.first_row + 1, run.last_row - 1)(rng_)};
+  ReentryTargets& targets = reentry_targets_[book];
+  if (targets.cells.empty()) {
+    for (const FormulaRun& run : b.runs) {
+      const int32_t inner = run.length() - 2;  // Rows strictly inside.
+      for (int32_t k = 0; k < kReentryTargetsPerRun; ++k) {
+        const int32_t lo =
+            run.first_row + 1 + inner * k / kReentryTargetsPerRun;
+        const int32_t hi =
+            run.first_row + inner * (k + 1) / kReentryTargetsPerRun;
+        targets.cells.push_back(Cell{
+            run.col, std::uniform_int_distribution<int32_t>(
+                         lo, std::max(lo, hi))(rng_)});
+      }
+    }
+    std::shuffle(targets.cells.begin(), targets.cells.end(), rng_);
+  }
+  const Cell cell = targets.cells[targets.next++ % targets.cells.size()];
   const std::string& original = b.sheet.Get(cell)->formula().text;
   std::string prefix =
       "FORMULA " + b.name + " " + taco::CellToA1(cell) + " ";
@@ -379,9 +390,18 @@ void OpStream::PushAutofillPair(int book) {
           ? *longest
           : *long_runs[std::uniform_int_distribution<size_t>(
                 0, long_runs.size() - 1)(rng_)];
-  int32_t rows = std::min(run.length(),
-                          std::uniform_int_distribution<int32_t>(200, 2000)(
-                              rng_));
+  // Sizes come from a deck of 200, 300, ..., 2000 rows, shuffled by the
+  // seed and dealt in turn, so that every run covers the range evenly:
+  // the mean cost of a few dozen uniform draws differed by a sixth
+  // between seeds.
+  if (autofill_sizes_.empty()) {
+    for (int32_t size = 200; size <= 2000; size += 100) {
+      autofill_sizes_.push_back(size);
+    }
+    std::shuffle(autofill_sizes_.begin(), autofill_sizes_.end(), rng_);
+  }
+  int32_t rows = std::min(run.length(), autofill_sizes_.back());
+  autofill_sizes_.pop_back();
   int32_t first = std::uniform_int_distribution<int32_t>(
       run.first_row, run.last_row - rows + 1)(rng_);
   std::string text =

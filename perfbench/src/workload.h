@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <random>
 #include <string>
 #include <string_view>
@@ -131,6 +132,12 @@ class OpStream {
   std::mt19937_64 rng_;
   std::deque<Op> pending_;
   uint64_t interactions_ = 0;
+  struct ReentryTargets {
+    std::vector<taco::Cell> cells;
+    size_t next = 0;  ///< Re-entries so far; they take the cells in turn.
+  };
+  std::map<int, ReentryTargets> reentry_targets_;  ///< By book.
+  std::vector<int32_t> autofill_sizes_;  ///< The rest of the shuffled deck.
 };
 
 }  // namespace perfbench
