@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/socket_client.h"
@@ -268,6 +269,18 @@ void Progress(const std::string& what) {
                what.c_str());
 }
 
+/// Names on stderr every check that failed, so that a run that reports
+/// "correct": false says why in its error output as well.
+bool AllPassed(
+    std::initializer_list<std::pair<bool, const char*>> checks) {
+  bool all = true;
+  for (const auto& [passed, what] : checks) {
+    if (!passed) std::fprintf(stderr, "svcbench: check failed: %s\n", what);
+    all = all && passed;
+  }
+  return all;
+}
+
 int Fail(const std::string& message) {
   std::fprintf(stderr, "svcbench: %s\n", message.c_str());
   return 1;
@@ -440,7 +453,9 @@ int main(int argc, char** argv) {
   // A refused or lost op is a wrong answer: the oracle skips it, and
   // dropping expensive ops would flatter every latency.
   const bool correct =
-      oracle_report.ok() && self_test_ok && run.failed == 0;
+      AllPassed({{oracle_report.ok(), "oracle mismatch (see stdout)"},
+                 {self_test_ok, "oracle self-test missed the corruption"},
+                 {run.failed == 0, "an op of the untraced run failed"}});
 
   if (args.trace == 0) {
     taco::Status stopped = deployment.server->Stop();
@@ -485,7 +500,10 @@ int main(int argc, char** argv) {
   for (const std::string& line : attribution.lines) {
     std::printf("  %s\n", line.c_str());
   }
-  PrintJson(correct && attribution.ok && traced.run.failed == 0,
+  const bool traced_correct = AllPassed(
+      {{attribution.ok, "attribution (see the attribution lines on stdout)"},
+       {traced.run.failed == 0, "an op of the traced run failed"}});
+  PrintJson(correct && traced_correct,
             run.attempted + traced.run.attempted,
             run.failed + traced.run.failed, per_layer.all());
   return 0;

@@ -671,10 +671,12 @@ taco::Status ReplayInProcess(const Workload& workload,
   // applying the edits, invalidating and re-evaluating — runs inside the
   // session's RecalcEngine, which no interface exposes. A bench-owned
   // RecalcEngine per book, built from its public constructor over the
-  // book's snapshot and an untraced graph (so that it pays no span
-  // overhead), applies the same edits in lockstep; its call minus its
-  // executor time, the op's graph time in the wrapped session and the
-  // parse time is the eval layer's self time.
+  // book's snapshot and a graph wrapped like the session's, applies the
+  // same edits in lockstep; its call minus its own graph and executor
+  // spans and minus the parse time is the eval layer's self time. Its
+  // graph time is its own, not the session's: an op's two executions
+  // stall on the host at different moments, so one's graph time cannot
+  // be taken out of the other's call.
   struct ShadowEngine {
     taco::Sheet sheet;
     std::unique_ptr<taco::DependencyGraph> graph;
@@ -698,10 +700,13 @@ taco::Status ReplayInProcess(const Workload& workload,
         wrapped_dir + "/" + book.name + ".tsnap", nullptr);
     if (!sheet.ok()) return sheet.status();
     shadow->sheet = std::move(*sheet);
-    shadow->graph =
-        std::make_unique<taco::TacoGraph>(taco::TacoOptions::Full());
-    TACO_RETURN_IF_ERROR(
-        taco::BuildGraphFromSheet(shadow->sheet, shadow->graph.get()));
+    auto graph = std::make_unique<TracingGraph>(
+        std::make_unique<taco::TacoGraph>(taco::TacoOptions::Full()),
+        &shadow_recorder, &shadow_counts);
+    graph->set_recording(false);
+    TACO_RETURN_IF_ERROR(taco::BuildGraphFromSheet(shadow->sheet, graph.get()));
+    graph->set_recording(true);
+    shadow->graph = std::move(graph);
     shadow->engine = std::make_unique<taco::RecalcEngine>(
         &shadow->sheet, shadow->graph.get());
     if (shadow_executor != nullptr) {
@@ -733,8 +738,9 @@ taco::Status ReplayInProcess(const Workload& workload,
     double execute_ns = 0;   ///< The real service's Execute of this op.
     double protocol_ns = 0;  ///< Its protocol share.
     double formula_ns = 0;   ///< Parsing the op's formulas.
-    double engine_ns = 0;    ///< The shadow engine's self time (mutations).
+    double engine_self_ns = 0;   ///< The shadow engine's self time.
     double engine_total_ns = 0;  ///< Its whole call.
+    double engine_ns = 0;  ///< Its self time less parsing: the eval layer.
   };
   std::vector<OpTrace> traces;
   std::vector<double> chain_depth;
@@ -796,7 +802,7 @@ taco::Status ReplayInProcess(const Workload& workload,
         }
       }
       trace.engine_total_ns = double(shadow_spans[shadow_root].duration());
-      trace.engine_ns = trace.engine_total_ns - children;
+      trace.engine_self_ns = trace.engine_total_ns - children;
       return taco::Status::OK();
     };
     if (!read_only && !real_first) TACO_RETURN_IF_ERROR(run_shadow());
@@ -846,7 +852,7 @@ taco::Status ReplayInProcess(const Workload& workload,
         trace.formula_ns += ns;
       }
       if (real_first) TACO_RETURN_IF_ERROR(run_shadow());
-      trace.engine_ns -= trace.formula_ns;
+      trace.engine_ns = trace.engine_self_ns - trace.formula_ns;
     }
     if (!real_first) TACO_RETURN_IF_ERROR(run_real());
     traces.push_back(std::move(trace));
@@ -924,10 +930,10 @@ taco::Status ReplayInProcess(const Workload& workload,
       // own bookkeeping around them is no layer's and stays
       // unattributed.
       overlap = overlap ||
-                t.engine_ns - a.taco < -(0.01 * t.engine_total_ns + 2000);
+                t.engine_self_ns < -(0.01 * t.engine_total_ns + 2000);
       a.service = double(t.phases.lock_wait_ns);
       a.formula = t.formula_ns;
-      a.eval = t.engine_ns - a.taco + double(t.phases.publish_ns);
+      a.eval = t.engine_ns + double(t.phases.publish_ns);
       a.store += double(t.phases.wal_fsync_ns);
     }
     if (overlap) {
@@ -937,7 +943,7 @@ taco::Status ReplayInProcess(const Workload& workload,
                       "first overlap: %s session call %.0f ns, its spans "
                       "%.0f ns; engine call %.0f ns, its self time %.0f ns",
                       t.verb.c_str(), a.total + a.probe, children,
-                      t.engine_total_ns, t.engine_ns);
+                      t.engine_total_ns, t.engine_self_ns);
         attribution->lines.push_back(line);
       }
       negative = true;
