@@ -24,6 +24,8 @@
 // is dirty but unchanged — the shape cutoff exists for. The headline is
 // the EVALUATED-CELL ratio (full/cutoff, from RecalcResult counters),
 // which is machine-load-independent; wall clock is reported alongside.
+// skipped_2T counts the cells the 2-thread wave path pruned, so a pass
+// that silently dropped cutoff shows as a count, not just a slow time.
 //
 //   TACO_BENCH_PROFILE=smoke|paper   scale preset (default: laptop)
 //   TACO_BENCH_RECALC_REPS           timed repetitions per mode
@@ -315,8 +317,8 @@ int main() {
   std::printf("\nValue-change cutoff: absorbing workloads "
               "(full vs. cutoff recalc)\n\n");
   TablePrinter cutoff_table({"profile", "graph", "dirty", "full_eval",
-                             "cut_eval", "skipped", "ratio", "full_ms",
-                             "cut_ms", "cut_2T_ms"});
+                             "cut_eval", "skipped", "skipped_2T", "ratio",
+                             "full_ms", "cut_ms", "cut_2T_ms"});
 
   auto run_cutoff = [&](const char* name, Workload* w) {
     // Full pass baseline, then the serial-engine cutoff path, then the
@@ -350,7 +352,8 @@ int main() {
     cutoff_table.AddRow({name, backend_name, std::to_string(full.dirty),
                          std::to_string(full.recalculated),
                          std::to_string(cut.recalculated),
-                         std::to_string(cut.skipped), ratio_str,
+                         std::to_string(cut.skipped),
+                         std::to_string(cut2.skipped), ratio_str,
                          FormatMs(full.eval_ms), FormatMs(cut.eval_ms),
                          FormatMs(cut2.eval_ms)});
 
@@ -363,6 +366,9 @@ int main() {
                                          labels});
     ReportJsonMetric("parallel_recalc", {"cutoff_cells_skipped",
                                          double(cut.skipped), "cells",
+                                         labels});
+    ReportJsonMetric("parallel_recalc", {"cutoff_cells_skipped_2t",
+                                         double(cut2.skipped), "cells",
                                          labels});
     ReportJsonMetric("parallel_recalc",
                      {"cutoff_full_eval_ms", full.eval_ms, "ms", labels});
@@ -387,8 +393,10 @@ int main() {
   std::printf(
       "\nratio is full_eval/cut_eval — evaluated-cell counts from "
       "RecalcResult, so it is\nexact and machine-load-independent; ms "
-      "columns are the usual wall-clock means.\nchain absorber sits at row "
-      "%d of %d (TACO_BENCH_CUTOFF_DEPTH).\n",
+      "columns are the usual wall-clock means.\nskipped_2T is the 2-thread "
+      "pass's prune count: it equals skipped unless the\nwave path dropped "
+      "cutoff.\nchain absorber sits at row %d of %d "
+      "(TACO_BENCH_CUTOFF_DEPTH).\n",
       chain_depth, scale.chain_rows);
   if (chain_ratio_min < 5.0) {
     std::printf("WARNING: chain_absorb ratio %.1fx below the 5x target "

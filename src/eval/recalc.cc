@@ -6,7 +6,7 @@
 
 #include "common/clock.h"
 #include "common/range_set.h"
-#include "eval/cutoff.h"
+#include "eval/wave_plan.h"
 #include "formula/references.h"
 
 namespace taco {
@@ -59,31 +59,15 @@ std::string_view RecalcPlan::granularity_name() const {
 
 namespace {
 
-/// Counts the formula cells in `dirty` for plan reporting, bounded so an
-/// EXPLAIN of a giant sparse rectangle cannot take longer than the pass
-/// it describes.  Returns false when the area budget was exceeded (the
-/// count is then a lower bound over the ranges scanned so far).
-bool CountDirtyFormulas(const Sheet& sheet, std::span<const Range> dirty,
-                        uint64_t max_area, uint64_t* formulas) {
-  *formulas = 0;
-  uint64_t scanned = 0;
-  for (const Range& range : dirty) {
-    scanned += range.Area();
-    if (scanned > max_area) return false;
-    for (const Cell& cell : EnumerateCells(range)) {
-      if (sheet.IsFormulaCell(cell)) ++(*formulas);
-    }
-  }
-  return true;
+/// The plan of a pass the engine runs itself: the scheduler's planner
+/// and runner at width 1 with the default budgets, so EXPLAIN on a
+/// serial engine shows the plan that runs.
+WavePlan PlanEnginePass(const Sheet& sheet, std::span<const Range> dirty,
+                        std::span<const Range> seeds, bool cutoff,
+                        const RecalcExecutor* executor) {
+  return BuildWavePlan(sheet, dirty, seeds, cutoff, /*width=*/1, PlanOptions{},
+                       executor == nullptr ? "no_executor" : "mode=serial");
 }
-
-/// Budgets for the engine's own (serial-path) cutoff machinery. The
-/// prior-capture area bound mirrors SchedulerOptions::max_cells and the
-/// edge bound mirrors max_edges: past either, cutoff bookkeeping would
-/// dominate the pass it's trying to shrink, so the engine falls back to
-/// the eager full evaluation with zero cells skipped.
-constexpr uint64_t kCutoffMaxPriorArea = 1u << 20;
-constexpr uint64_t kCutoffMaxEdges = 4u << 20;
 
 }  // namespace
 
@@ -91,13 +75,10 @@ RecalcPlan RecalcExecutor::Plan(const Sheet& sheet,
                                 std::span<const Range> dirty,
                                 std::span<const Range> /*seeds*/,
                                 bool cutoff) const {
-  RecalcPlan plan;
-  plan.granularity = RecalcPlan::Granularity::kSerialInline;
-  plan.decision = "no_planner";
+  RecalcPlan plan = BuildWavePlan(sheet, dirty, {}, /*cutoff=*/false,
+                                  /*width=*/1, PlanOptions{}, "no_planner")
+                        .summary;
   plan.cutoff = cutoff;
-  plan.dirty_ranges = dirty.size();
-  for (const Range& range : dirty) plan.dirty_area += range.Area();
-  CountDirtyFormulas(sheet, dirty, 1u << 20, &plan.dirty_formulas);
   return plan;
 }
 
@@ -129,67 +110,33 @@ RecalcResult RecalcEngine::RecalculateMerged(std::span<const Range> changed) {
   for (const Range& range : result.dirty) result.dirty_cells += range.Area();
 
   // Cutoff needs the dirty cells' prior values, which invalidation is
-  // about to destroy — capture them first (bounded: past the area budget
-  // the pass runs eagerly with zero cells skipped).
+  // about to destroy — capture them first. The capture holds no more
+  // values than the cache entries the pass invalidates.
   CutoffContext ctx;
-  bool cutoff_ready = false;
-  if (cutoff_ && result.dirty_cells <= kCutoffMaxPriorArea) {
+  if (cutoff_) {
     ctx.seeds = seeds;
     CapturePriorValues(*sheet_, evaluator_, result.dirty, &ctx);
-    cutoff_ready = true;
   }
 
   for (const Range& seed : seeds) evaluator_.Invalidate(seed);
   for (const Range& range : result.dirty) evaluator_.Invalidate(range);
 
   auto eval_start = SteadyNow();
+  const CutoffContext* cutoff = cutoff_ ? &ctx : nullptr;
+  RecalcExecutor::Outcome outcome;
   if (mode_ == RecalcMode::kParallel && executor_ != nullptr) {
-    RecalcExecutor::Outcome outcome = executor_->Execute(
-        *sheet_, &evaluator_, result.dirty, cutoff_ready ? &ctx : nullptr);
-    result.recalculated = outcome.recalculated;
-    result.cells_skipped_cutoff = outcome.cells_skipped_cutoff;
-    result.dirty_formulas = outcome.dirty_formulas;
-    result.waves = outcome.waves;
-    result.max_wave_cells = outcome.max_wave_cells;
-    result.barrier_wait_ns = outcome.barrier_wait_ns;
+    outcome = executor_->Execute(*sheet_, &evaluator_, result.dirty, cutoff);
   } else {
-    bool cut = false;
-    if (cutoff_ready) {
-      // Serial cutoff: evaluate the dirty subgraph wave-by-wave so a
-      // value-unchanged commit prunes the dependents reachable only
-      // through it (eval/cutoff.h). Wave order is equivalent to the
-      // eager order for acyclic cells, and the cycle leftover replays in
-      // the same node order, so results are identical either way.
-      // RecalcResult::waves stays 0: no parallel waves were dispatched.
-      std::vector<Cell> nodes;
-      std::vector<const Expr*> asts;
-      CollectDirtyFormulaCells(*sheet_, result.dirty, &nodes, &asts);
-      CellWavePlan plan = BuildCellWavePlan(std::move(nodes), std::move(asts),
-                                           ctx.seeds, kCutoffMaxEdges);
-      if (!plan.over_budget) {
-        CutoffOutcome outcome = SerialCutoffEvaluate(plan, &evaluator_, ctx);
-        result.recalculated = outcome.evaluated;
-        result.cells_skipped_cutoff = outcome.skipped;
-        result.dirty_formulas = outcome.dirty_formulas;
-        cut = true;
-      }
-    }
-    if (!cut) {
-      // Re-evaluate eagerly; the recursive evaluator resolves ordering
-      // and the shared cache makes each formula compute once. The dirty
-      // ranges are disjoint, so no formula is visited (or counted)
-      // twice.
-      for (const Range& range : result.dirty) {
-        for (const Cell& cell : EnumerateCells(range)) {
-          if (sheet_->IsFormulaCell(cell)) {
-            evaluator_.EvaluateCell(cell);
-            ++result.recalculated;
-          }
-        }
-      }
-      result.dirty_formulas = result.recalculated;
-    }
+    outcome = RunWavePlan(
+        PlanEnginePass(*sheet_, result.dirty, seeds, cutoff_, executor_),
+        &evaluator_, cutoff, PlanOptions{}.min_parallel_wave);
   }
+  result.recalculated = outcome.recalculated;
+  result.cells_skipped_cutoff = outcome.cells_skipped_cutoff;
+  result.dirty_formulas = outcome.dirty_formulas;
+  result.waves = outcome.waves;
+  result.max_wave_cells = outcome.max_wave_cells;
+  result.barrier_wait_ns = outcome.barrier_wait_ns;
   result.eval_ns = NsSince(eval_start);
   result.eval_ms = double(result.eval_ns) / 1e6;
   return result;
@@ -213,18 +160,11 @@ RecalcEngine::ExplainInfo RecalcEngine::Explain(const Range& target) {
   info.find_dependents_ns = NsSince(start);
   for (const Range& range : info.dirty) info.dirty_cells += range.Area();
 
-  if (info.parallel_active) {
-    info.plan = executor_->Plan(*sheet_, info.dirty, info.seeds, cutoff_);
-  } else {
-    info.plan.granularity = RecalcPlan::Granularity::kSerialInline;
-    info.plan.decision =
-        executor_ == nullptr ? "no_executor" : "mode=serial";
-    info.plan.cutoff = cutoff_;
-    info.plan.dirty_ranges = info.dirty.size();
-    info.plan.dirty_area = info.dirty_cells;
-    CountDirtyFormulas(*sheet_, info.dirty, 1u << 20,
-                       &info.plan.dirty_formulas);
-  }
+  info.plan = info.parallel_active
+                  ? executor_->Plan(*sheet_, info.dirty, info.seeds, cutoff_)
+                  : PlanEnginePass(*sheet_, info.dirty, info.seeds, cutoff_,
+                                   executor_)
+                        .summary;
   return info;
 }
 

@@ -23,7 +23,7 @@
 
 namespace taco {
 
-struct CutoffContext;  // eval/cutoff.h
+struct CutoffContext;  // eval/wave_plan.h
 
 /// Outcome of one update (or one batch of updates).
 struct RecalcResult {
@@ -48,7 +48,7 @@ struct RecalcResult {
   uint64_t find_dependents_ns = 0;
   uint64_t eval_ns = 0;
   uint64_t barrier_wait_ns = 0;    ///< Wave-barrier wait (parallel only).
-  uint64_t waves = 0;              ///< Topological waves executed (0 = serial).
+  uint64_t waves = 0;              ///< Topological waves executed (0 = inline).
   uint64_t max_wave_cells = 0;     ///< Largest wave, in formula cells.
 };
 
@@ -60,11 +60,11 @@ enum class RecalcMode {
   kParallel,  ///< Wave-scheduled across the plugged-in executor.
 };
 
-/// A dry-run of the wave planner: what an executor WOULD do with a
-/// dirty set, without evaluating anything.  This is the inspectable
-/// unit behind the EXPLAIN protocol verb — it must mirror the real
-/// Execute decision tree exactly (same thresholds, same order), so a
-/// plan's waves/granularity always match the pass a mutation would run.
+/// What a recalc pass over a dirty set does, without evaluating
+/// anything: the summary of the WavePlan (eval/wave_plan.h) the pass
+/// builds and runs. This is the inspectable unit behind the EXPLAIN
+/// protocol verb; since execution runs the same plan, its waves and
+/// granularity always match the pass a mutation would run.
 struct RecalcPlan {
   enum class Granularity {
     kSerialInline,   ///< Evaluated on the calling thread, no waves.
@@ -80,6 +80,7 @@ struct RecalcPlan {
   /// The plan models a cutoff pass: the width/min_parallel_cells serial
   /// short-circuits don't apply (cutoff always builds waves when the
   /// granularity budgets allow), and `wave_cutoff_eligible` is filled.
+  /// A serial-inline cutoff plan prunes nothing.
   bool cutoff = false;
   uint64_t dirty_ranges = 0;         ///< Disjoint dirty rectangles.
   uint64_t dirty_area = 0;           ///< Total cells covered by them.
@@ -135,8 +136,8 @@ class RecalcExecutor {
   /// Read-only and side-effect-free.  `seeds` (the edited rectangles)
   /// and `cutoff` describe the cutoff configuration the pass would run
   /// with; they only affect the plan when cutoff is on.  The default
-  /// implementation models an executor-less engine: everything evaluates
-  /// serially inline.
+  /// implementation, for executors that do not plan, reports a
+  /// serial-inline plan with decision "no_planner".
   virtual RecalcPlan Plan(const Sheet& sheet, std::span<const Range> dirty,
                           std::span<const Range> seeds, bool cutoff) const;
 };
@@ -208,8 +209,9 @@ class RecalcEngine {
   /// the dependency-closure half of EXPLAIN.  Runs the exact dirty-set
   /// recipe of RecalculateMerged (FindDependents per disjoint seed,
   /// union disjointified) and then asks the active executor to Plan the
-  /// pass; an engine in serial mode (or without an executor) reports a
-  /// serial-inline plan.  Non-const only because graph queries update
+  /// pass; an engine in serial mode (or without an executor) plans the
+  /// pass it runs itself: width 1, serial inline without cutoff, waves
+  /// with it.  Non-const only because graph queries update
   /// the graph's query counters; no sheet/graph/evaluator/version state
   /// changes.
   struct ExplainInfo {
@@ -251,7 +253,7 @@ class RecalcEngine {
 
   /// Toggles value-change cutoff: recalc passes compare each committed
   /// value against its prior and prune dependents reachable only
-  /// through unchanged cells (eval/cutoff.h documents why results stay
+  /// through unchanged cells (eval/wave_plan.h documents why results stay
   /// cell-for-cell identical). Applies to the serial path directly and
   /// is forwarded to the executor on parallel passes. Off by default.
   void set_cutoff(bool cutoff) { cutoff_ = cutoff; }

@@ -1,436 +1,78 @@
 #include "sched/recalc_scheduler.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <memory>
-#include <unordered_set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/range_set.h"
-#include "eval/cutoff.h"
 #include "eval/evaluator.h"
-#include "formula/references.h"
-#include "rtree/rtree.h"
-#include "sheet/sheet.h"
 
 namespace taco {
-namespace {
-
-/// One worker's private evaluation context: an overlay evaluator that
-/// reads through to the engine's shared cache but writes only locally.
-/// Contexts persist across the waves of one pass, so a worker re-reads
-/// its own earlier results without a base-cache hop; they are discarded
-/// at the end of the pass.
-struct WorkerContext {
-  explicit WorkerContext(const Sheet& sheet, const Evaluator* base)
-      : eval(&sheet, base) {}
-  Evaluator eval;
-};
-
-/// Builds the per-pass worker contexts (lazily — serial passes never
-/// allocate them).
-std::vector<std::unique_ptr<WorkerContext>> MakeContexts(
-    int n, const Sheet& sheet, const Evaluator* base) {
-  std::vector<std::unique_ptr<WorkerContext>> contexts;
-  contexts.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    contexts.push_back(std::make_unique<WorkerContext>(sheet, base));
-  }
-  return contexts;
-}
-
-/// Formats "lhs(value)cmp rhs(threshold)" decision tokens for plans.
-std::string Decision(const char* format, uint64_t a, uint64_t b) {
-  char buffer[128];
-  std::snprintf(buffer, sizeof(buffer), format, a, b);
-  return buffer;
-}
-
-/// Bounded formula count for plan reporting on the paths that never
-/// enumerate nodes (serial fast-outs); `max_area` keeps a dry run from
-/// outlasting the pass it describes.
-uint64_t CountFormulasBounded(const Sheet& sheet, std::span<const Range> dirty,
-                              uint64_t max_area) {
-  uint64_t formulas = 0;
-  uint64_t scanned = 0;
-  for (const Range& range : dirty) {
-    scanned += range.Area();
-    if (scanned > max_area) break;
-    for (const Cell& cell : EnumerateCells(range)) {
-      if (sheet.IsFormulaCell(cell)) ++formulas;
-    }
-  }
-  return formulas;
-}
-
-}  // namespace
 
 RecalcScheduler::RecalcScheduler(ThreadPool* pool, SchedulerOptions options)
     : pool_(pool), options_(options) {}
 
-RecalcExecutor::Outcome RecalcScheduler::ExecuteCellCutoff(
-    const CellWavePlan& plan, const Sheet& sheet, Evaluator* evaluator,
-    const CutoffContext& cutoff, int width) {
-  Outcome outcome;
-  const int n = static_cast<int>(plan.nodes.size());
-  outcome.dirty_formulas = static_cast<uint64_t>(n);
-
-  // A node evaluates when it was edited, reads a seed, had no captured
-  // prior, or a dirty precedent committed a changed value (marked as
-  // earlier waves commit). Everything else restores its prior value.
-  std::vector<char> needs_eval(n);
-  for (int i = 0; i < n; ++i) {
-    needs_eval[i] = plan.forced[i] != 0 ||
-                    cutoff.prior.find(plan.nodes[i]) == cutoff.prior.end();
+WavePlan RecalcScheduler::Build(const Sheet& sheet,
+                                std::span<const Range> dirty,
+                                std::span<const Range> seeds,
+                                bool cutoff) const {
+  const int width =
+      pool_ == nullptr
+          ? 1
+          : std::max(1, std::min(options_.threads, pool_->num_threads()));
+  std::string serial_reason;
+  if (width <= 1) {
+    serial_reason = "width(" + std::to_string(width) + ")<=1 no_pool(" +
+                    (pool_ == nullptr ? "1" : "0") + ")";
   }
-  // An evaluated node whose committed value differs from its prior (or
-  // that had none) un-prunes every dependent.
-  auto mark_if_changed = [&](int idx, const Value& now) {
-    auto it = cutoff.prior.find(plan.nodes[idx]);
-    if (it != cutoff.prior.end() && now == it->second) return;
-    for (int d : plan.adj[idx]) needs_eval[d] = 1;
-  };
-
-  std::vector<std::unique_ptr<WorkerContext>> contexts;
-  std::vector<Value> values(n);
-  std::vector<int> eval_list;
-  WaitGroup group;
-  for (const std::vector<int>& wave : plan.waves) {
-    ++outcome.waves;
-    outcome.max_wave_cells =
-        std::max<uint64_t>(outcome.max_wave_cells, wave.size());
-    // Prune BEFORE dispatching the wave's workers: pruned nodes prime
-    // the shared cache, which workers read through — the restore must be
-    // visible to them and must not race them. Within a wave the nodes
-    // are independent, so prime-then-evaluate order is semantics-free.
-    eval_list.clear();
-    for (int idx : wave) {
-      if (needs_eval[idx]) {
-        eval_list.push_back(idx);
-        continue;
-      }
-      evaluator->Prime(plan.nodes[idx], cutoff.prior.at(plan.nodes[idx]));
-      ++outcome.cells_skipped_cutoff;
-    }
-    if (pool_ == nullptr || width <= 1 ||
-        eval_list.size() < options_.min_parallel_wave) {
-      for (int idx : eval_list) {
-        Value now = evaluator->EvaluateCell(plan.nodes[idx]);
-        ++outcome.recalculated;
-        mark_if_changed(idx, now);
-      }
-      continue;
-    }
-    if (contexts.empty()) contexts = MakeContexts(width, sheet, evaluator);
-    const int tasks = std::min<int>(width, static_cast<int>(eval_list.size()));
-    for (int c = 0; c < tasks; ++c) {
-      pool_->Submit(&group, [&, c, tasks] {
-        Evaluator& eval = contexts[c]->eval;
-        for (size_t pos = c; pos < eval_list.size();
-             pos += static_cast<size_t>(tasks)) {
-          const int idx = eval_list[pos];
-          values[idx] = eval.EvaluateCell(plan.nodes[idx]);
-        }
-      });
-    }
-    auto barrier_start = SteadyNow();
-    group.Wait();
-    outcome.barrier_wait_ns += NsSince(barrier_start);
-    // Single-threaded commit: workers never touch the shared cache.
-    // Compare before the move steals the value.
-    for (int idx : eval_list) {
-      mark_if_changed(idx, values[idx]);
-      evaluator->Prime(plan.nodes[idx], std::move(values[idx]));
-      ++outcome.recalculated;
-    }
-  }
-  // Cycle members and their downstream dependents replay un-cut, in
-  // serial node order — cutoff never applies to them.
-  for (int idx : plan.leftover) {
-    evaluator->EvaluateCell(plan.nodes[idx]);
-    ++outcome.recalculated;
-  }
-  return outcome;
+  return BuildWavePlan(sheet, dirty, seeds, cutoff, width, options_,
+                       std::move(serial_reason));
 }
 
 RecalcExecutor::Outcome RecalcScheduler::Execute(const Sheet& sheet,
                                                  Evaluator* evaluator,
                                                  std::span<const Range> dirty,
                                                  const CutoffContext* cutoff) {
-  Outcome outcome;
+  const WavePlan plan =
+      Build(sheet, dirty,
+            cutoff != nullptr ? std::span<const Range>(cutoff->seeds)
+                              : std::span<const Range>(),
+            cutoff != nullptr);
 
-  // ----- Serial fast paths -------------------------------------------------
-  // Evaluates `cells` on the calling thread via the shared evaluator —
-  // bit-identical to RecalcMode::kSerial by construction.
-  auto eval_serial_range = [&](const Range& range) {
-    for (const Cell& cell : EnumerateCells(range)) {
-      if (sheet.IsFormulaCell(cell)) {
-        evaluator->EvaluateCell(cell);
-        ++outcome.recalculated;
-      }
-    }
-  };
-
-  uint64_t dirty_area = 0;
-  for (const Range& range : dirty) dirty_area += range.Area();
-
-  const int width =
-      pool_ == nullptr
-          ? 1
-          : std::max(1, std::min(options_.threads, pool_->num_threads()));
-  // With cutoff the width/min_parallel_cells short-circuits don't apply:
-  // a serial pass still wants the wave structure so it can prune (waves
-  // just evaluate inline). Without cutoff, tiny sets skip planning.
-  if (cutoff == nullptr &&
-      (width <= 1 || dirty_area < options_.min_parallel_cells)) {
-    for (const Range& range : dirty) eval_serial_range(range);
-    outcome.dirty_formulas = outcome.recalculated;
-    return outcome;
-  }
-
-  // ----- Plan: enumerate dirty formula cells in serial order ---------------
-  // (Shared by both granularities; the serial path visits cells in
-  // exactly this order, which is what the leftover pass must replay.)
-  const bool cell_granular = dirty_area <= options_.max_cells &&
-                             dirty.size() <= options_.max_ranges;
-  if (!cell_granular && dirty.size() > options_.max_ranges) {
-    // Too fragmented for either plan: edge discovery would dominate, and
-    // without a wave structure cutoff has nothing to prune.
-    for (const Range& range : dirty) eval_serial_range(range);
-    outcome.dirty_formulas = outcome.recalculated;
-    return outcome;
-  }
-
-  if (cell_granular) {
-    // Nodes: every dirty formula cell, in dirty-range enumeration order.
-    std::vector<Cell> nodes;
-    std::vector<const Expr*> asts;
-    CollectDirtyFormulaCells(sheet, dirty, &nodes, &asts);
-    const int n = static_cast<int>(nodes.size());
-    if (cutoff == nullptr &&
-        static_cast<uint64_t>(n) < options_.min_parallel_cells) {
-      for (int i = 0; i < n; ++i) evaluator->EvaluateCell(nodes[i]);
-      outcome.recalculated = n;
-      outcome.dirty_formulas = n;
-      return outcome;
-    }
-
-    CellWavePlan plan = BuildCellWavePlan(
-        std::move(nodes), std::move(asts),
-        cutoff != nullptr ? std::span<const Range>(cutoff->seeds)
-                          : std::span<const Range>(),
-        options_.max_edges);
-
-    if (!plan.over_budget) {
-      if (cutoff != nullptr) {
-        return ExecuteCellCutoff(plan, sheet, evaluator, *cutoff, width);
-      }
-      std::vector<std::unique_ptr<WorkerContext>> contexts;
-      std::vector<Value> values(n);
-      WaitGroup group;
-      for (const std::vector<int>& wave : plan.waves) {
-        ++outcome.waves;
-        outcome.max_wave_cells =
-            std::max<uint64_t>(outcome.max_wave_cells, wave.size());
-        if (wave.size() < options_.min_parallel_wave) {
-          for (int idx : wave) evaluator->EvaluateCell(plan.nodes[idx]);
-          continue;
-        }
-        if (contexts.empty()) {
-          contexts = MakeContexts(width, sheet, evaluator);
-        }
-        // Strided assignment balances skewed per-cell costs (e.g. the
-        // growing SUM($A$1:Ar) of an FR column) across workers.
-        const int tasks = std::min<int>(width, static_cast<int>(wave.size()));
-        for (int c = 0; c < tasks; ++c) {
-          pool_->Submit(&group, [&, c, tasks] {
-            Evaluator& eval = contexts[c]->eval;
-            for (size_t pos = c; pos < wave.size();
-                 pos += static_cast<size_t>(tasks)) {
-              const int idx = wave[pos];
-              values[idx] = eval.EvaluateCell(plan.nodes[idx]);
-            }
-          });
-        }
-        auto barrier_start = SteadyNow();
-        group.Wait();
-        outcome.barrier_wait_ns += NsSince(barrier_start);
-        // Single-threaded commit: workers never touch the shared cache.
-        for (int idx : wave) {
-          evaluator->Prime(plan.nodes[idx], std::move(values[idx]));
-        }
-      }
-      // Cycle members and their downstream dependents, in serial order.
-      for (int idx : plan.leftover) evaluator->EvaluateCell(plan.nodes[idx]);
-      outcome.recalculated = n;
-      outcome.dirty_formulas = n;
-      return outcome;
-    }
-    // Edge budget blown: fall through to range-granular leveling.
-  }
-
-  // ----- Range-granular fallback -------------------------------------------
-  // Nodes are the disjoint dirty ranges; an R-tree over them turns each
-  // reference range into range-level edges. One range is one unit of
-  // work (its formulas evaluate in enumeration order within a task).
-  // Under cutoff a RANGE is also the pruning unit: it skips only when
-  // every formula cell in it has a captured prior and no seed input, and
-  // it re-marks dependent ranges when ANY of its cells commits changed.
-  const int m = static_cast<int>(dirty.size());
-  RTree index;
-  for (int j = 0; j < m; ++j) index.Insert(dirty[j], j);
-
-  std::vector<uint64_t> formulas(m, 0);
-  std::vector<std::vector<int>> adj(m);
-  std::vector<int> indeg(m, 0);
-  std::vector<char> needs_eval(m, 0);
-  std::unordered_set<uint64_t> edge_seen;
-  std::vector<A1Reference> refs;
-  for (int j = 0; j < m; ++j) {
-    for (const Cell& cell : EnumerateCells(dirty[j])) {
-      const CellContent* content = sheet.Get(cell);
-      if (content == nullptr || !content->IsFormula()) continue;
-      ++formulas[j];
-      if (cutoff != nullptr && needs_eval[j] == 0 &&
-          (CoversCell(cutoff->seeds, cell) ||
-           cutoff->prior.find(cell) == cutoff->prior.end())) {
-        needs_eval[j] = 1;
-      }
-      refs.clear();
-      ExtractReferences(*content->formula().ast, &refs);
-      for (const A1Reference& ref : refs) {
-        if (!ref.range.IsValid()) continue;
-        if (cutoff != nullptr && needs_eval[j] == 0) {
-          for (const Range& seed : cutoff->seeds) {
-            if (ref.range.Overlaps(seed)) {
-              needs_eval[j] = 1;
-              break;
-            }
-          }
-        }
-        index.ForEachOverlap(ref.range, [&](const Range&, RTree::EntryId id) {
-          const int i = static_cast<int>(id);
-          // Intra-range dependencies are resolved by in-order evaluation
-          // inside the range's task, so self-edges don't schedule.
-          if (i == j) return;
-          uint64_t key = (static_cast<uint64_t>(i) << 32) |
-                         static_cast<uint32_t>(j);
-          if (!edge_seen.insert(key).second) return;
-          adj[i].push_back(j);
-          ++indeg[j];
-        });
-      }
-    }
-  }
-  for (int j = 0; j < m; ++j) outcome.dirty_formulas += formulas[j];
-
-  std::vector<int> leftover;
-  std::vector<std::vector<int>> waves = BuildWaves(adj, &indeg, &leftover);
-
-  // Cutoff-aware serial evaluation of one range: evaluates in
-  // enumeration order like eval_serial_range, additionally reporting
-  // whether any cell's committed value differs from its prior.
-  auto eval_range_compare = [&](int j) {
-    bool changed = false;
-    for (const Cell& cell : EnumerateCells(dirty[j])) {
-      if (!sheet.IsFormulaCell(cell)) continue;
-      Value now = evaluator->EvaluateCell(cell);
-      ++outcome.recalculated;
-      auto it = cutoff->prior.find(cell);
-      if (it == cutoff->prior.end() || !(now == it->second)) changed = true;
-    }
-    return changed;
-  };
-
-  std::vector<std::unique_ptr<WorkerContext>> contexts;
-  // Per-range results, committed after each wave's barrier.
-  std::vector<std::vector<std::pair<Cell, Value>>> results(m);
-  std::vector<int> eval_list;
+  // One private overlay evaluator per task, reading through to the
+  // shared cache. They persist across the waves of the pass, so a worker
+  // re-reads its own earlier results without a base-cache hop; serial
+  // passes never allocate them.
+  std::vector<std::unique_ptr<Evaluator>> workers;
   WaitGroup group;
-  for (const std::vector<int>& wave : waves) {
-    ++outcome.waves;
-    uint64_t wave_cells = 0;
-    for (int j : wave) wave_cells += formulas[j];
-    outcome.max_wave_cells = std::max(outcome.max_wave_cells, wave_cells);
-
-    uint64_t eval_cells = 0;
-    eval_list.clear();
-    if (cutoff != nullptr) {
-      // Prune before dispatch (workers read the shared cache).
-      for (int j : wave) {
-        if (needs_eval[j]) {
-          eval_list.push_back(j);
-          eval_cells += formulas[j];
-          continue;
-        }
-        for (const Cell& cell : EnumerateCells(dirty[j])) {
-          if (!sheet.IsFormulaCell(cell)) continue;
-          evaluator->Prime(cell, cutoff->prior.at(cell));
-          ++outcome.cells_skipped_cutoff;
-        }
+  uint64_t barrier_wait_ns = 0;
+  auto dispatch = [&](std::span<const uint32_t> units,
+                      const UnitEvaluator& eval_unit) {
+    const int width = plan.summary.width;
+    if (workers.empty()) {
+      for (int i = 0; i < width; ++i) {
+        workers.push_back(std::make_unique<Evaluator>(&sheet, evaluator));
       }
-    } else {
-      eval_list.assign(wave.begin(), wave.end());
-      eval_cells = wave_cells;
     }
-
-    auto mark_dependents = [&](int j) {
-      for (int d : adj[j]) needs_eval[d] = 1;
-    };
-
-    if (eval_cells < options_.min_parallel_wave || eval_list.size() == 1 ||
-        pool_ == nullptr || width <= 1) {
-      for (int j : eval_list) {
-        if (cutoff != nullptr) {
-          if (eval_range_compare(j)) mark_dependents(j);
-        } else {
-          eval_serial_range(dirty[j]);
-        }
-      }
-      continue;
-    }
-    if (contexts.empty()) contexts = MakeContexts(width, sheet, evaluator);
-    const int tasks = std::min<int>(width, static_cast<int>(eval_list.size()));
-    for (int c = 0; c < tasks; ++c) {
-      pool_->Submit(&group, [&, c, tasks] {
-        Evaluator& eval = contexts[c]->eval;
-        for (size_t pos = c; pos < eval_list.size();
-             pos += static_cast<size_t>(tasks)) {
-          const int j = eval_list[pos];
-          for (const Cell& cell : EnumerateCells(dirty[j])) {
-            if (sheet.IsFormulaCell(cell)) {
-              results[j].emplace_back(cell, eval.EvaluateCell(cell));
-            }
-          }
+    // Strided assignment balances skewed per-unit costs (e.g. the
+    // growing SUM($A$1:Ar) of an FR column) across workers.
+    const size_t tasks = std::min<size_t>(width, units.size());
+    for (size_t t = 0; t < tasks; ++t) {
+      pool_->Submit(&group, [&, t, tasks] {
+        for (size_t pos = t; pos < units.size(); pos += tasks) {
+          eval_unit(*workers[t], units[pos]);
         }
       });
     }
     auto barrier_start = SteadyNow();
     group.Wait();
-    outcome.barrier_wait_ns += NsSince(barrier_start);
-    for (int j : eval_list) {
-      bool changed = false;
-      for (auto& [cell, value] : results[j]) {
-        if (cutoff != nullptr) {
-          auto it = cutoff->prior.find(cell);
-          if (it == cutoff->prior.end() || !(value == it->second)) {
-            changed = true;
-          }
-        }
-        evaluator->Prime(cell, std::move(value));
-        ++outcome.recalculated;
-      }
-      if (cutoff != nullptr && changed) mark_dependents(j);
-      results[j].clear();
-      results[j].shrink_to_fit();
-    }
-  }
-  // Mutually-referencing ranges (cross-range cycles), in serial order —
-  // never pruned.
-  for (int j : leftover) eval_serial_range(dirty[j]);
+    barrier_wait_ns += NsSince(barrier_start);
+  };
+  Outcome outcome = RunWavePlan(plan, evaluator, cutoff,
+                                options_.min_parallel_wave, dispatch);
+  outcome.barrier_wait_ns = barrier_wait_ns;
   return outcome;
 }
 
@@ -438,165 +80,7 @@ RecalcPlan RecalcScheduler::Plan(const Sheet& sheet,
                                  std::span<const Range> dirty,
                                  std::span<const Range> seeds,
                                  bool cutoff) const {
-  // IMPORTANT: every branch below replays the corresponding branch of
-  // Execute — same thresholds, same order.  Changing one side without
-  // the other breaks the EXPLAIN-matches-execution guarantee that
-  // explain_test.cc pins down.
-  RecalcPlan plan;
-  plan.cutoff = cutoff;
-  plan.dirty_ranges = dirty.size();
-  for (const Range& range : dirty) plan.dirty_area += range.Area();
-
-  const int width =
-      pool_ == nullptr
-          ? 1
-          : std::max(1, std::min(options_.threads, pool_->num_threads()));
-  plan.width = width;
-
-  // Mirrors Execute: the serial short-circuits only apply without
-  // cutoff (a cutoff pass builds waves regardless, evaluating them
-  // inline when the width or set size wouldn't pay for dispatch).
-  if (!cutoff) {
-    if (width <= 1) {
-      plan.decision = Decision("width(%" PRIu64 ")<=1 no_pool(%" PRIu64 ")",
-                               static_cast<uint64_t>(width),
-                               static_cast<uint64_t>(pool_ == nullptr ? 1
-                                                                      : 0));
-      plan.dirty_formulas =
-          CountFormulasBounded(sheet, dirty, options_.max_cells);
-      return plan;
-    }
-    if (plan.dirty_area < options_.min_parallel_cells) {
-      plan.decision =
-          Decision("dirty_area(%" PRIu64 ")<min_parallel_cells(%" PRIu64 ")",
-                   plan.dirty_area, options_.min_parallel_cells);
-      plan.dirty_formulas =
-          CountFormulasBounded(sheet, dirty, options_.max_cells);
-      return plan;
-    }
-  }
-
-  const bool cell_granular = plan.dirty_area <= options_.max_cells &&
-                             dirty.size() <= options_.max_ranges;
-  if (!cell_granular && dirty.size() > options_.max_ranges) {
-    plan.decision =
-        Decision("dirty_ranges(%" PRIu64 ")>max_ranges(%" PRIu64 ")",
-                 static_cast<uint64_t>(dirty.size()), options_.max_ranges);
-    plan.dirty_formulas =
-        CountFormulasBounded(sheet, dirty, options_.max_cells);
-    return plan;
-  }
-
-  if (cell_granular) {
-    std::vector<Cell> nodes;
-    std::vector<const Expr*> asts;
-    CollectDirtyFormulaCells(sheet, dirty, &nodes, &asts);
-    const int n = static_cast<int>(nodes.size());
-    plan.dirty_formulas = static_cast<uint64_t>(n);
-    if (!cutoff && static_cast<uint64_t>(n) < options_.min_parallel_cells) {
-      plan.decision =
-          Decision("dirty_formulas(%" PRIu64 ")<min_parallel_cells(%" PRIu64
-                   ")",
-                   static_cast<uint64_t>(n), options_.min_parallel_cells);
-      return plan;
-    }
-
-    CellWavePlan cells = BuildCellWavePlan(
-        std::move(nodes), std::move(asts),
-        cutoff ? seeds : std::span<const Range>(), options_.max_edges);
-    plan.edges = cells.edges;
-
-    if (!cells.over_budget) {
-      plan.granularity = RecalcPlan::Granularity::kCellGranular;
-      plan.decision = Decision("edges(%" PRIu64 ")<=max_edges(%" PRIu64 ")",
-                               cells.edges, options_.max_edges);
-      plan.wave_cells.reserve(cells.waves.size());
-      if (cutoff) plan.wave_cutoff_eligible.reserve(cells.waves.size());
-      for (const std::vector<int>& wave : cells.waves) {
-        plan.wave_cells.push_back(wave.size());
-        if (cutoff) {
-          // Upper bound: nodes with no direct seed input MAY skip when
-          // their dirty precedents all commit unchanged (and a prior
-          // value is cached — unknowable in a dry run).
-          uint64_t eligible = 0;
-          for (int idx : wave) {
-            if (cells.forced[idx] == 0) ++eligible;
-          }
-          plan.wave_cutoff_eligible.push_back(eligible);
-        }
-      }
-      plan.cycle_cells = cells.leftover.size();
-      return plan;
-    }
-    plan.decision = Decision("edges(%" PRIu64 ")>max_edges(%" PRIu64 ")",
-                             cells.edges, options_.max_edges);
-  } else {
-    plan.decision = Decision("dirty_area(%" PRIu64 ")>max_cells(%" PRIu64 ")",
-                             plan.dirty_area, options_.max_cells);
-  }
-
-  // Range-granular: mirror Execute's R-tree edge discovery.
-  plan.granularity = RecalcPlan::Granularity::kRangeGranular;
-  const int m = static_cast<int>(dirty.size());
-  RTree index;
-  for (int j = 0; j < m; ++j) index.Insert(dirty[j], j);
-
-  std::vector<uint64_t> formulas(m, 0);
-  std::vector<std::vector<int>> adj(m);
-  std::vector<int> indeg(m, 0);
-  std::vector<char> forced(m, 0);
-  std::unordered_set<uint64_t> edge_seen;
-  std::vector<A1Reference> refs;
-  for (int j = 0; j < m; ++j) {
-    for (const Cell& cell : EnumerateCells(dirty[j])) {
-      const CellContent* content = sheet.Get(cell);
-      if (content == nullptr || !content->IsFormula()) continue;
-      ++formulas[j];
-      if (cutoff && forced[j] == 0 && CoversCell(seeds, cell)) forced[j] = 1;
-      refs.clear();
-      ExtractReferences(*content->formula().ast, &refs);
-      for (const A1Reference& ref : refs) {
-        if (!ref.range.IsValid()) continue;
-        if (cutoff && forced[j] == 0) {
-          for (const Range& seed : seeds) {
-            if (ref.range.Overlaps(seed)) {
-              forced[j] = 1;
-              break;
-            }
-          }
-        }
-        index.ForEachOverlap(ref.range, [&](const Range&, RTree::EntryId id) {
-          const int i = static_cast<int>(id);
-          if (i == j) return;
-          uint64_t key = (static_cast<uint64_t>(i) << 32) |
-                         static_cast<uint32_t>(j);
-          if (!edge_seen.insert(key).second) return;
-          adj[i].push_back(j);
-          ++indeg[j];
-        });
-      }
-    }
-  }
-  plan.dirty_formulas = 0;
-  for (int j = 0; j < m; ++j) plan.dirty_formulas += formulas[j];
-  plan.edges = edge_seen.size();
-
-  std::vector<int> leftover;
-  std::vector<std::vector<int>> waves = BuildWaves(adj, &indeg, &leftover);
-  plan.wave_cells.reserve(waves.size());
-  if (cutoff) plan.wave_cutoff_eligible.reserve(waves.size());
-  for (const std::vector<int>& wave : waves) {
-    uint64_t wave_cells = 0;
-    uint64_t eligible = 0;
-    for (int j : wave) {
-      wave_cells += formulas[j];
-      if (forced[j] == 0) eligible += formulas[j];
-    }
-    plan.wave_cells.push_back(wave_cells);
-    if (cutoff) plan.wave_cutoff_eligible.push_back(eligible);
-  }
-  for (int j : leftover) plan.cycle_cells += formulas[j];
-  return plan;
+  return Build(sheet, dirty, seeds, cutoff).summary;
 }
 
 }  // namespace taco

@@ -2,42 +2,45 @@
 // dirty subgraph.
 //
 // After a batch of edits, RecalcEngine knows WHAT to re-evaluate (the
-// merged dirty ranges from FindDependents) but the serial path runs the
-// re-evaluations on one thread. Dependent-cell recomputation is a
-// topological traversal of the dirty subgraph, which parallelizes
-// naturally by level: every formula in wave k depends — among dirty
-// cells — only on formulas in waves < k, so one wave's cells can be
-// evaluated concurrently and the next wave starts after a barrier.
+// merged dirty ranges from FindDependents). Dependent-cell recomputation
+// is a topological traversal of the dirty subgraph, which parallelizes
+// naturally by level: every unit in wave k depends — among dirty units —
+// only on units in waves < k, so one wave's units can be evaluated
+// concurrently and the next wave starts after a barrier.
 //
-// Planning granularities, chosen per pass by budget:
-//   * Cell-granular (the default): each dirty formula cell is a node;
+// The scheduler owns only the threads. Planning and execution are the
+// thread-free builder and runner of eval/wave_plan.h, the same pair the
+// serial engine runs at width 1: Plan() returns the built plan's summary
+// and Execute() builds the plan, then runs it with this scheduler's pool
+// injected as the wave dispatcher. So EXPLAIN prints the plan Execute
+// runs. The builder picks the granularity per pass by budget:
+//   * Cell-granular (the default): each dirty formula cell is a unit;
 //     its direct precedents come from its parsed references, intersected
-//     with the dirty set through a per-column row index. Kahn-style
-//     ready counts partition the nodes into waves. Bounded by
-//     `max_cells` nodes and `max_edges` expanded (cell-level) edges.
-//   * Range-granular (the fallback): when per-cell expansion would
-//     exceed the budget, the disjoint dirty RANGES become the nodes and
-//     an R-tree over them resolves reference overlaps into range-level
-//     edges. A range is one unit of work (its cells evaluate in
-//     enumeration order inside one task), so intra-range chains cost
-//     nothing to schedule.
-//   * Serial inline: dirty sets below `min_parallel_cells`, or plans
-//     whose shape defeats both granularities, evaluate on the calling
-//     thread exactly like RecalcMode::kSerial.
+//     with the dirty set through a (col, row)-sorted index. Bounded by
+//     `max_cells` dirty area and `max_edges` distinct cell-level edges.
+//   * Range-granular (the fallback): when a cell-granular budget fails,
+//     each disjoint dirty range's formula cells form one unit and an
+//     R-tree over the ranges resolves reference overlaps into range-level
+//     edges. A range evaluates in enumeration order inside one task, so
+//     intra-range chains cost nothing to schedule.
+//   * Serial inline: without cutoff, dirty sets below
+//     `min_parallel_cells` or a width of 1; and, cutoff or not, dirty
+//     sets that fail both granularities' budgets (`max_ranges`). Evaluated
+//     on the calling thread exactly like RecalcMode::kSerial.
 //
 // Determinism contract — parallel results are CELL-FOR-CELL IDENTICAL
 // to serial recalc, errors and #CYCLE! included:
 //   * Acyclic dirty formulas are pure functions of committed inputs:
 //     same AST, same operand values, same result, on any thread. A wave
-//     cell's dirty precedents are committed by earlier waves' barriers;
+//     unit's dirty precedents are committed by earlier waves' barriers;
 //     its clean precedents never change during the pass (a formula that
 //     transitively depends on an edit is dirty by definition), so
 //     worker-local lazy evaluation of clean cells is race-free and
 //     yields the serial values.
 //   * Workers never write the shared evaluator. Each worker evaluates
 //     into a private overlay evaluator (read-through to the shared
-//     cache); the scheduler commits a wave's results single-threaded
-//     after the wave's WaitGroup barrier.
+//     cache); the runner commits a wave's results single-threaded after
+//     the wave's WaitGroup barrier.
 //   * Cells on or downstream of reference cycles never become ready in
 //     Kahn's algorithm. These leftovers are evaluated serially, in the
 //     same dirty-range enumeration order as the serial path, AFTER all
@@ -63,36 +66,17 @@
 #include <cstdint>
 #include <span>
 
-#include "eval/cutoff.h"
 #include "eval/recalc.h"
+#include "eval/wave_plan.h"
 #include "sched/thread_pool.h"
 
 namespace taco {
 
-struct SchedulerOptions {
+/// The planner's thresholds and budgets (eval/wave_plan.h) plus the
+/// wave-execution width.
+struct SchedulerOptions : PlanOptions {
   /// Wave-execution width: tasks per wave (clamped to the pool size).
   int threads = 4;
-
-  /// Dirty sets smaller than this (formula cells) evaluate serially
-  /// inline — planning overhead would exceed the work.
-  uint64_t min_parallel_cells = 64;
-
-  /// Waves smaller than this evaluate inline on the calling thread
-  /// instead of paying task dispatch (chain-shaped subgraphs produce
-  /// thousands of single-cell waves).
-  uint64_t min_parallel_wave = 32;
-
-  /// Cell-granular planning budgets; exceeding either falls back to
-  /// range-granular leveling. `max_cells` bounds the node arrays (dirty
-  /// AREA, so a sparse million-cell rectangle cannot allocate a node per
-  /// blank cell); `max_edges` bounds per-cell precedent expansion (a
-  /// SUM over a dirty column expands to one edge per dirty cell in it).
-  uint64_t max_cells = 1u << 20;
-  uint64_t max_edges = 4u << 20;
-
-  /// Range-granular budget: more disjoint dirty ranges than this and the
-  /// pass just runs serial inline (edge discovery would dominate).
-  uint64_t max_ranges = 4096;
 };
 
 /// Wave-based RecalcExecutor over a shared ThreadPool. The pool must
@@ -104,36 +88,29 @@ class RecalcScheduler : public RecalcExecutor {
   /// `pool` may be null, which degrades every pass to serial inline.
   explicit RecalcScheduler(ThreadPool* pool, SchedulerOptions options = {});
 
-  /// `cutoff` non-null enables value-change cutoff for the pass (see
-  /// eval/cutoff.h for the contract): waves are pruned at nodes whose
-  /// dirty precedents all committed unchanged, in both granularities.
-  /// The width/min_parallel_cells serial short-circuits don't apply
-  /// under cutoff — small or width-1 passes still build waves and
-  /// evaluate them inline so pruning can happen. Results remain
-  /// cell-for-cell identical to an un-cut pass by construction.
+  /// Builds the pass's WavePlan and runs it, dispatching each wide
+  /// enough wave to the pool. `cutoff` non-null enables value-change
+  /// cutoff for the pass (see eval/wave_plan.h for the contract): units
+  /// whose dirty precedents all committed unchanged are pruned, in both
+  /// granularities. The width/min_parallel_cells serial short-circuits
+  /// don't apply under cutoff — small or width-1 passes still build
+  /// waves and evaluate them inline so pruning can happen.
   Outcome Execute(const Sheet& sheet, Evaluator* evaluator,
                   std::span<const Range> dirty,
                   const CutoffContext* cutoff) override;
 
-  /// The EXPLAIN dry run: replays Execute's exact decision tree — same
-  /// thresholds, checked in the same order, including the cell-granular
-  /// edge expansion and its budget fallback — but evaluates nothing and
-  /// touches no evaluator.  Guaranteed to match a subsequent Execute on
-  /// the same sheet + dirty set wave-for-wave. With `cutoff` it also
-  /// reports the per-wave upper bound of prunable cells (nodes with no
-  /// direct seed input) in `wave_cutoff_eligible`.
+  /// The EXPLAIN dry run: the summary of the plan Execute would build for
+  /// the same sheet and dirty set. Evaluates nothing. With `cutoff` it
+  /// also reports the per-wave upper bound of prunable cells (units with
+  /// no direct seed input) in `wave_cutoff_eligible`.
   RecalcPlan Plan(const Sheet& sheet, std::span<const Range> dirty,
                   std::span<const Range> seeds, bool cutoff) const override;
 
   const SchedulerOptions& options() const { return options_; }
 
  private:
-  /// The cell-granular cutoff wave loop: prune-prime first (workers read
-  /// the shared cache), then dispatch or inline the remaining nodes,
-  /// then the compare-and-mark commit.
-  Outcome ExecuteCellCutoff(const CellWavePlan& plan, const Sheet& sheet,
-                            Evaluator* evaluator, const CutoffContext& cutoff,
-                            int width);
+  WavePlan Build(const Sheet& sheet, std::span<const Range> dirty,
+                 std::span<const Range> seeds, bool cutoff) const;
 
   ThreadPool* pool_;
   SchedulerOptions options_;

@@ -142,7 +142,7 @@ class WorkbookSession {
   RecalcMode recalc_mode() const;
 
   /// Toggles value-change cutoff recalculation (default off; see
-  /// eval/cutoff.h). Works in both serial and parallel modes and keeps
+  /// eval/wave_plan.h). Works in both serial and parallel modes and keeps
   /// results cell-for-cell identical to full recalc.
   void SetCutoff(bool enabled);
   bool cutoff() const;

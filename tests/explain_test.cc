@@ -1,11 +1,13 @@
 // EXPLAIN dry-run planner (RecalcEngine::Explain / RecalcScheduler::Plan)
 // against what the real recalc then does.
 //
-// The planner's whole contract is "guaranteed to match a subsequent
-// Execute on the same sheet + dirty set wave-for-wave" — so every suite
-// here explains an edit first and then performs it, asserting the plan
-// predicted the pass the engine actually ran.
+// The planner's whole contract is "EXPLAIN prints the plan that runs" —
+// so one table-driven check explains an edit, performs it, and asserts
+// the plan predicted the pass the engine actually ran, across every
+// granularity, with cutoff on and off, on TACO and NoComp.
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -49,281 +51,253 @@ SchedulerOptions EagerOptions() {
   return options;
 }
 
-class ExplainTest : public ::testing::TestWithParam<bool> {};
+// ---------------------------------------------------------------------------
+// Sheet shapes. Each builds its formulas and returns the edit to explain
+// and then perform (the explain target is the edited cell).
+// ---------------------------------------------------------------------------
 
-TEST_P(ExplainTest, FanOutPlansOneWaveAndExecutionAgrees) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
-
-  constexpr int kRows = 200;
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 10.0).ok());
-  EditBatch setup;
-  for (int r = 1; r <= kRows; ++r) {
+/// 200 independent dependents of A1: one wide wave.
+Edit FanOut(RecalcEngine* engine) {
+  EditBatch setup = {Edit::SetNumber(Cell{1, 1}, 10.0)};
+  for (int r = 1; r <= 200; ++r) {
     setup.push_back(Edit::SetFormula(Cell{2, r}, "$A$1*" + std::to_string(r)));
   }
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_TRUE(info.parallel_active);
-  EXPECT_EQ(info.seeds.size(), 1u);
-  EXPECT_EQ(info.dirty_cells, static_cast<uint64_t>(kRows));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kCellGranular);
-  EXPECT_FALSE(info.plan.decision.empty());
-  EXPECT_EQ(info.plan.dirty_formulas, static_cast<uint64_t>(kRows));
-  EXPECT_EQ(info.plan.cycle_cells, 0u);
-  // Independent dependents: the whole dirty set is one wave.
-  ASSERT_EQ(info.plan.waves(), 1u);
-  EXPECT_EQ(info.plan.wave_cells[0], static_cast<uint64_t>(kRows));
-  EXPECT_EQ(info.plan.max_wave_cells(), static_cast<uint64_t>(kRows));
-
-  // Now DO the edit the plan described. Wave-for-wave agreement.
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 3.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, info.plan.waves());
-  EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
-  EXPECT_EQ(result->dirty_cells, info.dirty_cells);
-  EXPECT_EQ(result->dirty.size(), info.dirty.size());
-  EXPECT_EQ(result->recalculated, info.plan.dirty_formulas);
+  EXPECT_TRUE(engine->ApplyBatch(setup).ok());
+  return Edit::SetNumber(Cell{1, 1}, 3.0);
 }
 
-TEST_P(ExplainTest, ChainPlansOneWavePerLinkAndExecutionAgrees) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
-
-  constexpr int kRows = 150;
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 1.0).ok());
-  EditBatch setup;
-  setup.push_back(Edit::SetFormula(Cell{2, 1}, "A1+1"));
-  for (int r = 2; r <= kRows; ++r) {
+/// B1 = A1+1, B[r] = B[r-1]+1: one single-cell wave per link.
+Edit Chain(RecalcEngine* engine) {
+  EditBatch setup = {Edit::SetNumber(Cell{1, 1}, 1.0),
+                     Edit::SetFormula(Cell{2, 1}, "A1+1")};
+  for (int r = 2; r <= 150; ++r) {
     setup.push_back(
         Edit::SetFormula(Cell{2, r}, "B" + std::to_string(r - 1) + "+1"));
   }
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kCellGranular);
-  // A pure chain: one single-cell wave per link.
-  ASSERT_EQ(info.plan.waves(), static_cast<uint64_t>(kRows));
-  for (uint64_t cells : info.plan.wave_cells) EXPECT_EQ(cells, 1u);
-  EXPECT_EQ(info.plan.max_wave_cells(), 1u);
-  EXPECT_EQ(info.plan.cycle_cells, 0u);
-
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 5.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, info.plan.waves());
-  EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
-  EXPECT_EQ(result->recalculated, info.plan.dirty_formulas);
-  EXPECT_EQ(rig.engine.GetValue(Cell{2, kRows}), Value::Number(5.0 + kRows));
+  EXPECT_TRUE(engine->ApplyBatch(setup).ok());
+  return Edit::SetNumber(Cell{1, 1}, 5.0);
 }
 
-TEST_P(ExplainTest, CycleMembersNeverScheduleIntoWaves) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
+/// An A1 <-> B1 cycle seeded off D1, a dependent that can never become
+/// ready (C1), and an acyclic bystander (C2) that schedules normally.
+Edit CycleWithDownstream(RecalcEngine* engine) {
+  EXPECT_TRUE(engine
+                  ->ApplyBatch({Edit::SetNumber(Cell{4, 1}, 1.0),
+                                Edit::SetFormula(Cell{1, 1}, "COUNT(B1)+D1*0"),
+                                Edit::SetFormula(Cell{2, 1}, "COUNT(A1)+D1*0"),
+                                Edit::SetFormula(Cell{3, 1}, "A1+B1"),
+                                Edit::SetFormula(Cell{3, 2}, "D1*10")})
+                  .ok());
+  return Edit::SetNumber(Cell{4, 1}, 2.0);
+}
 
-  // A1 <-> B1 cycle seeded off D1; no downstream, so the dirty set is
-  // exactly the two cycle members — Kahn never readies either.
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{4, 1}, 1.0).ok());
+/// Two dependents of A1: below any sensible parallel threshold.
+Edit Tiny(RecalcEngine* engine) {
+  EXPECT_TRUE(engine
+                  ->ApplyBatch({Edit::SetNumber(Cell{1, 1}, 2.0),
+                                Edit::SetFormula(Cell{2, 1}, "A1*3"),
+                                Edit::SetFormula(Cell{2, 2}, "B1+1")})
+                  .ok());
+  return Edit::SetNumber(Cell{1, 1}, 4.0);
+}
+
+/// B[r] = SUM($A$1:A[r]), C[r] = B[r]*2: 40 cell-level edges.
+Edit PrefixSums(RecalcEngine* engine) {
   EditBatch setup;
-  setup.push_back(Edit::SetFormula(Cell{1, 1}, "COUNT(B1)+D1*0"));
-  setup.push_back(Edit::SetFormula(Cell{2, 1}, "COUNT(A1)+D1*0"));
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(4, 1, 4, 1));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kCellGranular);
-  EXPECT_EQ(info.plan.cycle_cells, 2u);
-  EXPECT_EQ(info.plan.waves(), 0u);  // everything is a leftover
-  EXPECT_EQ(info.plan.dirty_formulas, 2u);
-
-  // Execution agrees: no waves dispatched, both cells evaluated in the
-  // serial leftover pass with the serial #CYCLE!-swallowing outcome.
-  auto result = rig.engine.SetNumber(Cell{4, 1}, 2.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, 0u);
-  EXPECT_EQ(result->recalculated, 2u);
+  for (int r = 1; r <= 40; ++r) {
+    const std::string row = std::to_string(r);
+    setup.push_back(Edit::SetNumber(Cell{1, r}, r * 1.0));
+    setup.push_back(Edit::SetFormula(Cell{2, r}, "SUM($A$1:A" + row + ")"));
+    setup.push_back(Edit::SetFormula(Cell{3, r}, "B" + row + "*2"));
+  }
+  EXPECT_TRUE(engine->ApplyBatch(setup).ok());
+  return Edit::SetNumber(Cell{1, 1}, 100.0);
 }
 
-TEST_P(ExplainTest, CycleDownstreamCountsTowardCycleCells) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
-
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{4, 1}, 1.0).ok());
-  EditBatch setup;
-  setup.push_back(Edit::SetFormula(Cell{1, 1}, "COUNT(B1)+D1*0"));  // A1
-  setup.push_back(Edit::SetFormula(Cell{2, 1}, "COUNT(A1)+D1*0"));  // B1
-  setup.push_back(Edit::SetFormula(Cell{3, 1}, "A1+B1"));  // downstream
-  setup.push_back(Edit::SetFormula(Cell{3, 2}, "D1*10"));  // acyclic bystander
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(4, 1, 4, 1));
-  // The two members plus the dependent that can never become ready.
-  EXPECT_EQ(info.plan.cycle_cells, 3u);
-  // The bystander still schedules as a normal one-cell wave.
-  ASSERT_EQ(info.plan.waves(), 1u);
-  EXPECT_EQ(info.plan.wave_cells[0], 1u);
-
-  auto result = rig.engine.SetNumber(Cell{4, 1}, 2.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, info.plan.waves());
-  EXPECT_EQ(result->recalculated, 4u);
-  EXPECT_EQ(rig.engine.GetValue(Cell{3, 2}), Value::Number(20.0));
+/// B1 = IF(A1>100,1,0) collapses A1 to 0/1 and B2..B6 each add one.
+/// The edit to 20 doesn't flip the absorber, so nothing past wave 1
+/// changes; the edit to 500 flips it and every link re-evaluates.
+Edit AbsorbingChain(RecalcEngine* engine, double edit_value) {
+  EditBatch setup = {Edit::SetNumber(Cell{1, 1}, 10.0),
+                     Edit::SetFormula(Cell{2, 1}, "IF(A1>100,1,0)")};
+  for (int r = 2; r <= 6; ++r) {
+    setup.push_back(
+        Edit::SetFormula(Cell{2, r}, "B" + std::to_string(r - 1) + "+1"));
+  }
+  EXPECT_TRUE(engine->ApplyBatch(setup).ok());
+  return Edit::SetNumber(Cell{1, 1}, edit_value);
 }
 
-TEST_P(ExplainTest, TinyDirtySetsPlanSerialInlineWithNamedThreshold) {
-  ThreadPool pool(3);
+/// The absorbing chain laid out on a diagonal (B2 absorbs A1, then C3,
+/// D4, ... each add one), so no two formula cells share a row or column
+/// and every graph returns one dirty range per cell: a fragmented dirty
+/// set that still has a long prunable tail.
+Edit FragmentedAbsorbingChain(RecalcEngine* engine) {
+  EditBatch setup = {Edit::SetNumber(Cell{1, 1}, 10.0),
+                     Edit::SetFormula(Cell{2, 2}, "IF(A1>100,1,0)")};
+  for (int i = 3; i <= 12; ++i) {
+    setup.push_back(
+        Edit::SetFormula(Cell{i, i}, Cell{i - 1, i - 1}.ToString() + "+1"));
+  }
+  EXPECT_TRUE(engine->ApplyBatch(setup).ok());
+  return Edit::SetNumber(Cell{1, 1}, 20.0);
+}
+
+// ---------------------------------------------------------------------------
+// The table.
+// ---------------------------------------------------------------------------
+
+/// How the pass is executed: by the engine alone, by the engine with a
+/// scheduler plugged in but switched to serial mode, or by the scheduler.
+enum class Runner { kEngine, kEngineSerialMode, kScheduler };
+
+struct PlanCase {
+  const char* name;
+  Edit (*shape)(RecalcEngine*);
+  Runner runner;
+  SchedulerOptions options;  // Used by kScheduler (and pool sizing).
+  bool cutoff;
+  RecalcPlan::Granularity granularity;
+  const char* decision;  // A substring the decision token must contain.
+  // Shape-specific expectations; nullopt leaves a figure to the generic
+  // explained == executed check.
+  std::optional<uint64_t> waves = std::nullopt;
+  std::optional<uint64_t> cycle_cells = std::nullopt;
+  std::optional<uint64_t> skipped = std::nullopt;
+};
+
+SchedulerOptions WithMinParallelCells(uint64_t cells) {
   SchedulerOptions options;
   options.threads = 3;
-  options.min_parallel_cells = 1000;
-  RecalcScheduler scheduler(&pool, options);
-  Rig rig(GetParam(), &scheduler);
-
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 2.0).ok());
-  ASSERT_TRUE(rig.engine.SetFormula(Cell{2, 1}, "A1*3").ok());
-  ASSERT_TRUE(rig.engine.SetFormula(Cell{2, 2}, "B1+1").ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  // The decision token names the threshold that short-circuited.
-  EXPECT_NE(info.plan.decision.find("min_parallel_cells"), std::string::npos)
-      << info.plan.decision;
-  EXPECT_EQ(info.plan.waves(), 0u);
-
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 4.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, 0u);
+  options.min_parallel_cells = cells;
+  return options;
 }
 
-TEST_P(ExplainTest, EdgeBudgetFallbackPlansRangeGranular) {
-  ThreadPool pool(3);
+SchedulerOptions WithBudgets(uint64_t max_edges, uint64_t max_ranges) {
   SchedulerOptions options = EagerOptions();
-  options.max_edges = 4;  // per-cell expansion aborts immediately
-  RecalcScheduler scheduler(&pool, options);
-  Rig rig(GetParam(), &scheduler);
-
-  constexpr int kRows = 40;
-  EditBatch setup;
-  for (int r = 1; r <= kRows; ++r) {
-    setup.push_back(Edit::SetNumber(Cell{1, r}, r * 1.0));
-    setup.push_back(
-        Edit::SetFormula(Cell{2, r}, "SUM($A$1:A" + std::to_string(r) + ")"));
-    setup.push_back(
-        Edit::SetFormula(Cell{3, r}, "B" + std::to_string(r) + "*2"));
-  }
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kRangeGranular);
-  EXPECT_FALSE(info.plan.decision.empty());
-  EXPECT_GE(info.plan.waves(), 1u);
-
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 100.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, info.plan.waves());
-  EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
+  options.max_edges = max_edges;
+  options.max_ranges = max_ranges;
+  return options;
 }
 
-TEST_P(ExplainTest, CutoffPlansPerWaveEligibilityAndExecutionPrunes) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
-  rig.engine.set_cutoff(true);
+constexpr auto kCell = RecalcPlan::Granularity::kCellGranular;
+constexpr auto kRange = RecalcPlan::Granularity::kRangeGranular;
+constexpr auto kInline = RecalcPlan::Granularity::kSerialInline;
 
-  // Absorbing chain: B1 collapses A1 to 0/1, B2..B6 each add one. An
-  // edit that doesn't flip the absorber changes nothing past wave 1.
-  constexpr int kLinks = 6;
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 10.0).ok());
-  EditBatch setup;
-  setup.push_back(Edit::SetFormula(Cell{2, 1}, "IF(A1>100,1,0)"));
-  for (int r = 2; r <= kLinks; ++r) {
-    setup.push_back(
-        Edit::SetFormula(Cell{2, r}, "B" + std::to_string(r - 1) + "+1"));
+Edit AbsorbedChain(RecalcEngine* engine) { return AbsorbingChain(engine, 20); }
+Edit FlippedChain(RecalcEngine* engine) { return AbsorbingChain(engine, 500); }
+
+const PlanCase kPlanCases[] = {
+    // Cell-granular waves.
+    {"fanout", FanOut, Runner::kScheduler, EagerOptions(), false, kCell,
+     "<=max_edges", 1, 0},
+    {"fanout_cutoff", FanOut, Runner::kScheduler, EagerOptions(), true, kCell,
+     "<=max_edges", 1, 0, 0},
+    {"chain", Chain, Runner::kScheduler, EagerOptions(), false, kCell,
+     "<=max_edges", 150, 0},
+    {"cycle", CycleWithDownstream, Runner::kScheduler, EagerOptions(), false,
+     kCell, "<=max_edges", 1, 3},
+    {"cycle_cutoff", CycleWithDownstream, Runner::kScheduler, EagerOptions(),
+     true, kCell, "<=max_edges", 1, 3},
+    {"absorbed_chain_cutoff", AbsorbedChain, Runner::kScheduler,
+     EagerOptions(), true, kCell, "<=max_edges", 6, 0, 5},
+    {"flipped_chain_cutoff", FlippedChain, Runner::kScheduler, EagerOptions(),
+     true, kCell, "<=max_edges", 6, 0, 0},
+    // The engine alone runs the same planner at width 1: cutoff levels
+    // the pass into waves (and prunes), no cutoff stays inline.
+    {"engine_cutoff", AbsorbedChain, Runner::kEngine, EagerOptions(), true,
+     kCell, "<=max_edges", 6, 0, 5},
+    {"engine", AbsorbedChain, Runner::kEngine, EagerOptions(), false, kInline,
+     "no_executor", 0},
+    {"engine_serial_mode", AbsorbedChain, Runner::kEngineSerialMode,
+     EagerOptions(), false, kInline, "mode=serial", 0},
+    // Range-granular via the edge budget.
+    {"edge_budget", PrefixSums, Runner::kScheduler, WithBudgets(4, 4096),
+     false, kRange, ">max_edges"},
+    {"edge_budget_cutoff", PrefixSums, Runner::kScheduler,
+     WithBudgets(4, 4096), true, kRange, ">max_edges"},
+    {"fragmented_edge_budget_cutoff", FragmentedAbsorbingChain,
+     Runner::kScheduler, WithBudgets(1, 4096), true, kRange, ">max_edges", 11,
+     0, 10},
+    // Serial inline via min_parallel_cells.
+    {"tiny", Tiny, Runner::kScheduler, WithMinParallelCells(1000), false,
+     kInline, "min_parallel_cells", 0},
+    {"tiny_cutoff", Tiny, Runner::kScheduler, WithMinParallelCells(1000), true,
+     kCell, "<=max_edges", 2},
+    // max_ranges only gates range-granular leveling: a fragmented set
+    // within the cell budgets stays cell-granular and keeps cutoff.
+    {"fragmented", FragmentedAbsorbingChain, Runner::kScheduler,
+     WithBudgets(4u << 20, 2), false, kCell, "<=max_edges", 11},
+    {"fragmented_cutoff", FragmentedAbsorbingChain, Runner::kScheduler,
+     WithBudgets(4u << 20, 2), true, kCell, "<=max_edges", 11, 0, 10},
+    {"fragmented_engine_cutoff", FragmentedAbsorbingChain, Runner::kEngine,
+     EagerOptions(), true, kCell, "<=max_edges", 11, 0, 10},
+    // Past both granularities' budgets: the max_ranges fallback.
+    {"fragmented_over_budgets", FragmentedAbsorbingChain, Runner::kScheduler,
+     WithBudgets(1, 2), false, kInline, ">max_ranges", 0},
+    {"fragmented_over_budgets_cutoff", FragmentedAbsorbingChain,
+     Runner::kScheduler, WithBudgets(1, 2), true, kInline, ">max_ranges", 0,
+     std::nullopt, 0},
+};
+
+/// Explains `edit` on a warmed rig, performs it, and asserts that the
+/// executed pass is the explained one.
+void ExpectExplainedIsExecuted(const PlanCase& c, bool taco) {
+  SCOPED_TRACE(std::string(c.name) + (taco ? " on TACO" : " on NoComp"));
+  ThreadPool pool(c.options.threads);
+  RecalcScheduler scheduler(&pool, c.options);
+  Rig rig(taco, c.runner == Runner::kEngine ? nullptr : &scheduler);
+  if (c.runner == Runner::kEngineSerialMode) {
+    rig.engine.set_mode(RecalcMode::kSerial);
   }
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-  // Warm the chain root: a freshly set formula's own cell is evaluated
-  // lazily (only its dependents recalc), and a cell with no cached
-  // prior can never be ruled unchanged.
-  ASSERT_EQ(rig.engine.GetValue(Cell{2, 1}), Value::Number(0.0));
-  ASSERT_EQ(rig.engine.GetValue(Cell{2, kLinks}), Value::Number(kLinks - 1.0));
+  rig.engine.set_cutoff(c.cutoff);
+  const Edit edit = c.shape(&rig.engine);
+  // Warm every cell: a freshly set formula's own cell is evaluated
+  // lazily, and a cell with no cached prior can never be pruned.
+  if (std::optional<Range> used = rig.sheet.UsedRange()) {
+    for (const Cell& cell : EnumerateCells(*used)) rig.engine.GetValue(cell);
+  }
 
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_TRUE(info.cutoff);
-  EXPECT_TRUE(info.plan.cutoff);
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kCellGranular);
-  ASSERT_EQ(info.plan.waves(), static_cast<uint64_t>(kLinks));
-  // One eligibility figure per wave. B1 takes the seed directly, so
-  // wave 1 can never prune; every later link is a pure chain cell.
-  ASSERT_EQ(info.plan.wave_cutoff_eligible.size(), info.plan.wave_cells.size());
-  EXPECT_EQ(info.plan.wave_cutoff_eligible[0], 0u);
+  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(edit.cell));
+  const RecalcPlan& plan = info.plan;
+  EXPECT_EQ(info.parallel_active, c.runner == Runner::kScheduler);
+  EXPECT_EQ(info.cutoff, c.cutoff);
+  EXPECT_EQ(plan.cutoff, c.cutoff);
+  EXPECT_EQ(plan.granularity, c.granularity) << plan.granularity_name();
+  EXPECT_NE(plan.decision.find(c.decision), std::string::npos)
+      << plan.decision;
+  // One eligibility row per wave, on cutoff plans only.
+  EXPECT_EQ(plan.wave_cutoff_eligible.size(),
+            c.cutoff ? plan.wave_cells.size() : 0u);
+  if (c.waves) {
+    EXPECT_EQ(plan.waves(), *c.waves);
+  }
+  if (c.cycle_cells) {
+    EXPECT_EQ(plan.cycle_cells, *c.cycle_cells);
+  }
+
+  auto result = rig.engine.ApplyBatch({edit});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->dirty_cells, info.dirty_cells);
+  EXPECT_EQ(result->dirty.size(), info.dirty.size());
+  EXPECT_EQ(result->waves, plan.waves());
+  EXPECT_EQ(result->max_wave_cells, plan.max_wave_cells());
+  EXPECT_EQ(result->dirty_formulas, plan.dirty_formulas);
+  EXPECT_EQ(result->recalculated + result->cells_skipped_cutoff,
+            result->dirty_formulas);
+  // Eligibility is the planner's upper bound on what execution prunes.
   uint64_t eligible = 0;
-  for (size_t i = 1; i < info.plan.wave_cutoff_eligible.size(); ++i) {
-    EXPECT_EQ(info.plan.wave_cutoff_eligible[i], info.plan.wave_cells[i]);
-    eligible += info.plan.wave_cutoff_eligible[i];
+  for (uint64_t cells : plan.wave_cutoff_eligible) eligible += cells;
+  EXPECT_LE(result->cells_skipped_cutoff, eligible);
+  if (c.skipped) {
+    EXPECT_EQ(result->cells_skipped_cutoff, *c.skipped);
   }
-
-  // Absorbed edit: B1 re-evaluates to the same 0, the rest prune. The
-  // planner's eligibility is exactly the realized skip count here.
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, info.plan.waves());
-  EXPECT_EQ(result->recalculated, 1u);
-  EXPECT_EQ(result->cells_skipped_cutoff, eligible);
-  EXPECT_EQ(result->recalculated + result->cells_skipped_cutoff,
-            result->dirty_formulas);
-  EXPECT_EQ(rig.engine.GetValue(Cell{2, kLinks}),
-            Value::Number(kLinks - 1.0));
-
-  // Flipping the absorber re-evaluates the whole chain: eligibility was
-  // only ever an upper bound.
-  result = rig.engine.SetNumber(Cell{1, 1}, 500.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->recalculated, static_cast<uint64_t>(kLinks));
-  EXPECT_EQ(result->cells_skipped_cutoff, 0u);
-  EXPECT_EQ(rig.engine.GetValue(Cell{2, kLinks}), Value::Number(kLinks * 1.0));
-
-  // Cutoff off again: the plan drops the flag and the eligibility rows.
-  rig.engine.set_cutoff(false);
-  info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_FALSE(info.cutoff);
-  EXPECT_FALSE(info.plan.cutoff);
-  EXPECT_TRUE(info.plan.wave_cutoff_eligible.empty());
 }
 
-TEST_P(ExplainTest, SerialEngineCutoffPlansInlineAndStillPrunes) {
-  // No executor: the engine's own wave-free cutoff path. The plan is
-  // serial-inline (no wave rows to fill) but still carries the flag.
-  Rig rig(GetParam(), nullptr);
-  rig.engine.set_cutoff(true);
+class ExplainTest : public ::testing::TestWithParam<bool> {};
 
-  constexpr int kLinks = 5;
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 10.0).ok());
-  EditBatch setup;
-  setup.push_back(Edit::SetFormula(Cell{2, 1}, "IF(A1>100,1,0)"));
-  for (int r = 2; r <= kLinks; ++r) {
-    setup.push_back(
-        Edit::SetFormula(Cell{2, r}, "B" + std::to_string(r - 1) + "+1"));
-  }
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_FALSE(info.parallel_active);
-  EXPECT_TRUE(info.cutoff);
-  EXPECT_TRUE(info.plan.cutoff);
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_TRUE(info.plan.wave_cutoff_eligible.empty());
-  EXPECT_EQ(info.plan.dirty_formulas, static_cast<uint64_t>(kLinks));
-
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, 0u);  // no parallel waves were dispatched
-  EXPECT_EQ(result->recalculated, 1u);
-  EXPECT_EQ(result->cells_skipped_cutoff, static_cast<uint64_t>(kLinks - 1));
-  EXPECT_EQ(result->recalculated + result->cells_skipped_cutoff,
-            result->dirty_formulas);
-  EXPECT_EQ(rig.engine.GetValue(Cell{2, kLinks}),
-            Value::Number(kLinks - 1.0));
+TEST_P(ExplainTest, ExplainedPlanIsTheExecutedPass) {
+  for (const PlanCase& c : kPlanCases) ExpectExplainedIsExecuted(c, GetParam());
 }
 
 TEST_P(ExplainTest, ExplainIsSideEffectFreeAndRepeatable) {
@@ -353,31 +327,6 @@ TEST_P(ExplainTest, ExplainIsSideEffectFreeAndRepeatable) {
                                ? rig.engine.latest_version()->id()
                                : 0;
   EXPECT_EQ(version_after, version_before);
-}
-
-TEST_P(ExplainTest, SerialEnginesReportSerialInlinePlans) {
-  // No executor at all.
-  Rig bare(GetParam(), nullptr);
-  ASSERT_TRUE(bare.engine.SetNumber(Cell{1, 1}, 1.0).ok());
-  ASSERT_TRUE(bare.engine.SetFormula(Cell{2, 1}, "A1*2").ok());
-  RecalcEngine::ExplainInfo info = bare.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_FALSE(info.parallel_active);
-  EXPECT_EQ(info.mode, RecalcMode::kSerial);
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_EQ(info.plan.decision, "no_executor");
-  EXPECT_EQ(info.plan.dirty_formulas, 1u);
-
-  // Executor plugged but mode switched back to serial: still inline.
-  ThreadPool pool(2);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
-  rig.engine.set_mode(RecalcMode::kSerial);
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 1.0).ok());
-  ASSERT_TRUE(rig.engine.SetFormula(Cell{2, 1}, "A1*2").ok());
-  info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_FALSE(info.parallel_active);
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_EQ(info.plan.decision, "mode=serial");
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, ExplainTest, ::testing::Bool(),

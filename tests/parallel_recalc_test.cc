@@ -358,7 +358,7 @@ INSTANTIATE_TEST_SUITE_P(Graphs, ParallelRecalcTest, ::testing::Bool(),
 // must agree cell-for-cell (errors and #CYCLE! included) across every
 // DependencyGraph implementation, since each graph shapes dirty sets
 // (and thus wave plans and prune opportunities) differently. Also the
-// TSan workload for ExecuteCellCutoff's prime-then-dispatch ordering.
+// TSan workload for the wave runner's prime-then-dispatch ordering.
 // ---------------------------------------------------------------------------
 
 /// The ten graph configurations of the differential suite
@@ -432,14 +432,18 @@ struct CutoffRig {
 /// Identical random batches into a full rig and a cutoff rig; after
 /// every batch: cell-for-cell equality plus the cutoff accounting
 /// invariant `recalculated + cells_skipped_cutoff == dirty_formulas`.
+/// With `match_serial_skips` a third rig runs the serial engine's cutoff
+/// path, and the cutoff rig must prune exactly as many cells as it does.
 void RunCutoffDifferential(const CutoffGraphSpec& spec,
                            const SchedulerOptions& options, bool parallel,
-                           uint32_t seed, int rounds) {
+                           uint32_t seed, int rounds,
+                           bool match_serial_skips = false) {
   ThreadPool pool(options.threads);
   RecalcScheduler scheduler(&pool, options);
   RecalcExecutor* executor = parallel ? &scheduler : nullptr;
   CutoffRig full(spec, executor, /*cutoff=*/false);
   CutoffRig cut(spec, executor, /*cutoff=*/true);
+  CutoffRig serial_cut(spec, nullptr, /*cutoff=*/true);
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> batch_size(1, 8);
 
@@ -470,6 +474,14 @@ void RunCutoffDifferential(const CutoffGraphSpec& spec,
     EXPECT_EQ(f.recalculated, f.dirty_formulas)
         << spec.name << " round " << round;
     total_skipped += c.cells_skipped_cutoff;
+    if (match_serial_skips) {
+      RecalcResult serial_partial;
+      auto serial_result = serial_cut.engine.ApplyBatch(batch, &serial_partial);
+      const RecalcResult& s =
+          serial_result.ok() ? *serial_result : serial_partial;
+      EXPECT_EQ(c.cells_skipped_cutoff, s.cells_skipped_cutoff)
+          << spec.name << " round " << round;
+    }
 
     for (const Cell& cell : EnumerateCells(region)) {
       Value expected = full.engine.GetValue(cell);
@@ -478,6 +490,11 @@ void RunCutoffDifferential(const CutoffGraphSpec& spec,
           << spec.name << " round " << round << " cell " << cell.ToString()
           << ": full=" << expected.ToString()
           << " cutoff=" << actual.ToString();
+      if (match_serial_skips) {
+        EXPECT_EQ(expected, serial_cut.engine.GetValue(cell))
+            << spec.name << " round " << round << " cell "
+            << cell.ToString();
+      }
     }
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {
@@ -504,6 +521,18 @@ TEST_P(CutoffDifferentialTest, RangeGranularFallbackMatchesFullRecalc) {
   options.threads = 2;
   options.max_edges = 2;  // Everything lands in range-granular mode.
   RunCutoffDifferential(*GetParam(), options, /*parallel=*/true, 47u, 25);
+}
+
+TEST_P(CutoffDifferentialTest, FragmentedDirtySetsKeepCutoffPastMaxRanges) {
+  // More disjoint dirty ranges than max_ranges, but within the
+  // cell-granular budgets: the pass stays cell-granular, so the scheduler
+  // prunes exactly what the serial engine prunes instead of dropping
+  // cutoff.
+  SchedulerOptions options = EagerOptions();
+  options.threads = 2;
+  options.max_ranges = 1;
+  RunCutoffDifferential(*GetParam(), options, /*parallel=*/true, 29u, 25,
+                        /*match_serial_skips=*/true);
 }
 
 TEST_P(CutoffDifferentialTest, SerialEngineCutoffMatchesFullRecalc) {
